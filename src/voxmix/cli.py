@@ -5,6 +5,16 @@ Subcommands: gen-data, pretrain, finetune, decode, eval, and grid (runs
 everything). A single JSON spec file pins every knob so a rerun
 reproduces all emitted files byte for byte; grid cells are independent
 jobs and may run in parallel worker processes.
+
+An output directory holds corpora/<split>.jsonl, checkpoints/pretrain.json
+(the full pretrained model) with its metrics log, one cells/<id>_s<seed>/
+directory per strategy cell and seed, transcripts/<model>/<condition>.jsonl
+and reports/. A cell directory holds metrics.jsonl, the per-step losses,
+and checkpoint.json, the cell's LoRA adapters and seed lineage with a
+reference to ../../checkpoints/pretrain.json and its base_digest; the
+pretrained base is not copied into it. Decode and a serial grid load the
+base and each corpus once per command and share the frozen base, read-only,
+across cells.
 """
 
 from __future__ import annotations
@@ -24,13 +34,15 @@ from voxmix.evaluation import aggregate, comparison_markdown, report_csv, wer
 from voxmix.losses import LossConfig
 from voxmix.model import (
     ModelConfig,
+    TranscriberModel,
     attach_adapters,
     build_model,
     load_checkpoint,
-    save_checkpoint,
+    share_base,
 )
 from voxmix.synthdata import (
     GenConfig,
+    PairedSample,
     build_corpus,
     detokenize,
     load_corpus,
@@ -218,6 +230,16 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
+def _load_split(out: Path, split: str):
+    _, samples = load_corpus(_require(corpus_path(out, split), "run gen-data first"))
+    return samples
+
+
+def _load_base(out: Path) -> TranscriberModel:
+    model, _ = load_checkpoint(_require(pretrain_checkpoint_path(out), "run pretrain first"))
+    return model
+
+
 def _split_seed_base(spec: ExperimentSpec, split: str) -> int:
     return SPLITS.index(split) * 10_000 * len(spec.gen.languages)
 
@@ -242,7 +264,7 @@ def cmd_gen_data(spec: ExperimentSpec, out: Path) -> None:
 
 
 def cmd_pretrain(spec: ExperimentSpec, out: Path) -> None:
-    _, corpus = load_corpus(_require(corpus_path(out, "pretrain"), "run gen-data first"))
+    corpus = _load_split(out, "pretrain")
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     model = build_model(spec.model, seed=spec.pretrain.seed)
     plan = TrainPlan(
@@ -275,12 +297,24 @@ def _cell(spec: ExperimentSpec, cell_id: str) -> StrategyCell:
     raise SystemExit(f"unknown strategy id {cell_id!r}; spec defines {known}")
 
 
-def cmd_finetune(spec: ExperimentSpec, out: Path, cell_id: str, seed: int) -> None:
+def cmd_finetune(
+    spec: ExperimentSpec,
+    out: Path,
+    cell_id: str,
+    seed: int,
+    base: TranscriberModel | None = None,
+    train: list[PairedSample] | None = None,
+) -> None:
+    """Train one cell's adapters over the pretrained base.
+
+    `base` (the loaded pretrain checkpoint) and `train` (the train split) are
+    loaded here unless given; a grid loads them once for all its cells.
+    """
     if seed not in spec.seeds:
         raise SystemExit(f"seed {seed} is not in the spec seeds list {spec.seeds}")
     cell = _cell(spec, cell_id)
-    _, corpus = load_corpus(_require(corpus_path(out, "train"), "run gen-data first"))
-    model, _ = load_checkpoint(_require(pretrain_checkpoint_path(out), "run pretrain first"))
+    corpus = train if train is not None else _load_split(out, "train")
+    model = share_base(base if base is not None else _load_base(out))
 
     adapter_seed = int(np.random.SeedSequence([seed, zlib.crc32(cell_id.encode())]).generate_state(1)[0])
     attach_adapters(model, spec.lora.rank, spec.lora.alpha, spec.lora.dropout, seed=adapter_seed)
@@ -309,8 +343,7 @@ def cmd_finetune(spec: ExperimentSpec, out: Path, cell_id: str, seed: int) -> No
     )
 
 
-def _decode_model_to_files(spec: ExperimentSpec, out: Path, cell: str, model) -> None:
-    _, test = load_corpus(_require(corpus_path(out, "test"), "run gen-data first"))
+def _decode_model_to_files(spec: ExperimentSpec, out: Path, cell: str, model, test) -> None:
     tdir = out / "transcripts" / cell
     tdir.mkdir(parents=True, exist_ok=True)
     for condition in ("mix", "voc"):
@@ -329,32 +362,58 @@ def all_cells(spec: ExperimentSpec) -> list[str]:
     ]
 
 
-def cmd_decode(spec: ExperimentSpec, out: Path, only: list[str] | None = None) -> None:
+def cmd_decode(
+    spec: ExperimentSpec,
+    out: Path,
+    only: list[str] | None = None,
+    base: TranscriberModel | None = None,
+) -> None:
+    """Transcribe the test split with each model; the base is loaded once unless given."""
+    test = _load_split(out, "test")
+    base = base if base is not None else _load_base(out)
     for cell in only or all_cells(spec):
         if cell == PRETRAINED_CELL:
-            ckpt = _require(pretrain_checkpoint_path(out), "run pretrain first")
+            model = base
         else:
             cell_id, seed = cell.rsplit("_s", 1)
             ckpt = _require(
                 cell_dir(out, cell_id, int(seed)) / "checkpoint.json",
                 f"run finetune {cell_id} --seed {seed} first",
             )
-        model, _ = load_checkpoint(ckpt)
-        _decode_model_to_files(spec, out, cell, model)
+            model, _ = load_checkpoint(ckpt, base=base)
+        _decode_model_to_files(spec, out, cell, model, test)
 
 
-def _load_transcripts(out: Path, cell: str) -> dict[tuple[str, str], str]:
+def _load_transcripts(out: Path, cell: str, refs: dict[str, str]) -> dict[tuple[str, str], str]:
+    """A cell's transcripts, exactly one line per test sample and condition."""
     hyps = {}
     for condition in ("mix", "voc"):
-        with open(transcript_path(out, cell, condition), "r", encoding="utf-8") as fh:
-            for line in fh:
+        path = transcript_path(out, cell, condition)
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        found, bad = {}, 0
+        for line in lines:
+            try:
                 rec = json.loads(line)
-                hyps[(rec["sample_id"], rec["condition"])] = rec["text"]
+                sid = rec["sample_id"]
+                if rec["condition"] == condition and sid in refs and sid not in found:
+                    found[sid] = rec["text"]
+                    continue
+            except (ValueError, KeyError, TypeError):
+                pass
+            bad += 1
+        if bad or len(found) != len(refs):
+            raise SystemExit(
+                f"incomplete transcripts: {path} has {len(lines)} lines, {bad} of them "
+                f"unreadable or with a wrong condition, unknown or duplicate sample id; "
+                f"expected {len(refs)}, one per test sample (run decode again)"
+            )
+        hyps.update(((sid, condition), text) for sid, text in found.items())
     return hyps
 
 
 def cmd_eval(spec: ExperimentSpec, out: Path) -> None:
-    _, test = load_corpus(_require(corpus_path(out, "test"), "run gen-data first"))
+    test = _load_split(out, "test")
     missing = [
         cell
         for cell in all_cells(spec)
@@ -372,7 +431,7 @@ def cmd_eval(spec: ExperimentSpec, out: Path) -> None:
     rdir.mkdir(parents=True, exist_ok=True)
     pooled_by_cell = {}
     for cell in all_cells(spec):
-        hyps = _load_transcripts(out, cell)
+        hyps = _load_transcripts(out, cell, refs)
         details = {
             (sid, cond): wer(refs[sid], text) for (sid, cond), text in sorted(hyps.items())
         }
@@ -416,9 +475,11 @@ def cmd_grid(spec: ExperimentSpec, out: Path, jobs: int = 1) -> None:
     cmd_pretrain(spec, out)
     units = [(c.cell_id, seed) for c in spec.strategies for seed in spec.seeds]
     if jobs <= 1:
+        base = _load_base(out)
+        train = _load_split(out, "train") if units else []
         for cell_id, seed in units:
-            cmd_finetune(spec, out, cell_id, seed)
-        cmd_decode(spec, out)
+            cmd_finetune(spec, out, cell_id, seed, base=base, train=train)
+        cmd_decode(spec, out, base=base)
     else:
         doc = spec_to_doc(spec)
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -9,6 +9,16 @@ matrices at zero the forward pass is bit-identical to the base model.
 
 Batched entry points (`encode_batch`, `decode_batch`) take padded arrays
 with validity masks; the per-sample operations wrap them with batch size 1.
+
+Checkpoints come in two kinds. A full checkpoint holds every base weight
+and any adapters; the pretrained model is saved this way. A model built
+over the frozen base of a loaded full checkpoint (`share_base`), such as a
+fine-tuned cell, is saved as adapters only, with a reference to that base
+checkpoint: its path relative to the adapter file and its `base_digest`.
+`load_checkpoint` returns the full model for either kind, and refuses a
+file it cannot read, a format version it does not know, a shape that does
+not fit the config, and a base whose config or digest is not the one
+referenced.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import base64
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -79,11 +90,23 @@ class EncoderOutput:
     frame_mask: np.ndarray  # bool, (T_e,)
 
 
+@dataclass(frozen=True)
+class BaseFile:
+    """A full checkpoint file and the base_digest of the weights loaded from it."""
+
+    path: str  # absolute and normalised
+    digest: str
+
+
 class TranscriberModel:
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
         self.adapters: dict[str, LoraAdapter] = {}
+        # the full checkpoint this model was loaded from, if any
+        self.file: BaseFile | None = None
+        # the full checkpoint whose frozen base this model shares (see share_base)
+        self.base_file: BaseFile | None = None
         self.enc_pos = _sinusoidal_positions(config.max_audio_frames, config.hidden_dim)
 
     def attention_prefixes(self) -> list[str]:
@@ -103,19 +126,17 @@ def _sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return out
 
 
-def build_model(config: ModelConfig, seed: int, init_std: float = 0.08) -> TranscriberModel:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D6F64]))
-    p: dict[str, Tensor] = {}
+def _param_layout(config: ModelConfig) -> dict[str, tuple[str, tuple[int, ...]]]:
+    """Base weight name -> (init kind, shape), in initialisation order."""
+    layout: dict[str, tuple[str, tuple[int, ...]]] = {}
 
-    def weight(name, shape):
-        p[name] = Tensor(rng.normal(0.0, init_std, size=shape), requires_grad=True)
+    def entry(kind):
+        def add(name, shape):
+            layout[name] = (kind, shape)
 
-    def zeros(name, shape):
-        p[name] = Tensor(np.zeros(shape), requires_grad=True)
+        return add
 
-    def ones(name, shape):
-        p[name] = Tensor(np.ones(shape), requires_grad=True)
-
+    weight, zeros, ones = entry("weight"), entry("zeros"), entry("ones")
     h, f, v = config.hidden_dim, config.feature_dim, config.vocab_size
     weight("enc.in.w", (h, f))
     zeros("enc.in.b", (h,))
@@ -132,7 +153,18 @@ def build_model(config: ModelConfig, seed: int, init_std: float = 0.08) -> Trans
     zeros("dec.ln_out.b", (h,))
     weight("dec.out.w", (v, h))
     zeros("dec.out.b", (v,))
+    return layout
 
+
+def build_model(config: ModelConfig, seed: int, init_std: float = 0.08) -> TranscriberModel:
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D6F64]))
+    p: dict[str, Tensor] = {}
+    for name, (kind, shape) in _param_layout(config).items():
+        if kind == "weight":
+            values = rng.normal(0.0, init_std, size=shape)
+        else:
+            values = np.zeros(shape) if kind == "zeros" else np.ones(shape)
+        p[name] = Tensor(values, requires_grad=True)
     return TranscriberModel(config, p)
 
 
@@ -388,9 +420,42 @@ def base_digest(model: TranscriberModel) -> str:
     return h.hexdigest()
 
 
+def share_base(base: TranscriberModel) -> TranscriberModel:
+    """A model without adapters over `base`'s weight arrays, shared, not copied.
+
+    The arrays are marked read-only, on `base` too, so that an in-place write
+    to the frozen base raises instead of leaking into every model sharing it.
+    """
+    params = {}
+    for name, t in base.params.items():
+        t.values.flags.writeable = False
+        params[name] = Tensor(t.values)
+    model = TranscriberModel(base.config, params)
+    model.base_file = base.file
+    return model
+
+
 # ---------------------------------------------------------------------------
-# checkpoints: JSON container, bit-exact round trip
+# checkpoints: JSON containers, bit-exact round trip, written atomically
+#
+# Two kinds, each with its own format version:
+#   voxmix-checkpoint  full: config, seed lineage, every base weight, and
+#                      any adapters. Written for every other model, such as
+#                      a freshly pretrained one.
+#   voxmix-adapters    adapters only: config, seed lineage, adapters, and
+#                      base_ref, the path of the full checkpoint holding the
+#                      base (relative to this file's directory, so that an
+#                      output directory can move) and its base_digest.
+#                      Written for a model sharing the base of a loaded full
+#                      checkpoint (share_base) while that base is unchanged.
+# Loading checks the kind and its format version, every weight and adapter
+# shape against the ModelConfig, and for adapters that the base's config
+# and base_digest are the referenced ones.
 # ---------------------------------------------------------------------------
+
+FULL_KIND = "voxmix-checkpoint"
+ADAPTERS_KIND = "voxmix-adapters"
+FORMAT_VERSIONS = {FULL_KIND: 1, ADAPTERS_KIND: 1}
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -405,13 +470,21 @@ def _decode_array(obj: dict) -> np.ndarray:
     return flat.reshape(obj["shape"]).astype(np.float64)
 
 
+def _base_reference(model: TranscriberModel, path) -> dict | None:
+    """How a checkpoint at `path` refers to the model's base, or None to store it in full."""
+    if model.base_file is None or not model.adapters:
+        return None
+    if base_digest(model) != model.base_file.digest:
+        return None  # the base changed since it was loaded
+    rel = os.path.relpath(model.base_file.path, os.path.dirname(os.path.abspath(path)))
+    return {"path": rel.replace(os.sep, "/"), "base_digest": model.base_file.digest}
+
+
 def save_checkpoint(model: TranscriberModel, path, seed_lineage: dict | None = None) -> None:
+    """Write `model` atomically: a temporary file in the same directory, then a rename."""
     doc = {
-        "kind": "voxmix-checkpoint",
-        "version": 1,
         "config": asdict(model.config),
         "seed_lineage": seed_lineage or {},
-        "base": {name: _encode_array(t.values) for name, t in model.params.items()},
         "adapters": {
             name: {
                 "rank": ad.rank,
@@ -423,24 +496,123 @@ def save_checkpoint(model: TranscriberModel, path, seed_lineage: dict | None = N
             for name, ad in model.adapters.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    ref = _base_reference(model, path)
+    if ref is None:
+        doc["kind"] = FULL_KIND
+        doc["base"] = {name: _encode_array(t.values) for name, t in model.params.items()}
+    else:
+        doc["kind"] = ADAPTERS_KIND
+        doc["base_ref"] = ref
+    doc["version"] = FORMAT_VERSIONS[doc["kind"]]
+
+    path = os.fspath(path)
+    tmp = os.path.join(
+        os.path.dirname(path) or ".", f".{os.path.basename(path)}.{os.getpid()}.tmp"
+    )
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def load_checkpoint(path) -> tuple[TranscriberModel, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "voxmix-checkpoint":
+def load_checkpoint(path, base: TranscriberModel | None = None) -> tuple[TranscriberModel, dict]:
+    """The full model stored at `path` and its seed lineage.
+
+    For an adapters-only checkpoint the adapters go on a model sharing the
+    frozen arrays of `base` (see share_base); without a `base`, the
+    referenced full checkpoint is loaded. A full checkpoint ignores `base`.
+    Raises ValueError, naming the file, for an unreadable or foreign file,
+    an unknown format version, a shape that does not fit the config, or a
+    base whose config or base_digest is not the referenced one.
+    """
+    doc = _read_checkpoint(path)
+    try:
+        if doc["kind"] == FULL_KIND:
+            model = _full_model(path, doc)
+        else:
+            model = _adapted_model(path, doc, base)
+        return model, doc["seed_lineage"]
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"{path}: malformed checkpoint ({type(err).__name__}: {err})") from err
+
+
+def _read_checkpoint(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValueError(f"{path} is not a readable checkpoint (truncated or not JSON): {err}") from err
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in FORMAT_VERSIONS:
         raise ValueError(f"{path} is not a voxmix checkpoint")
+    if doc.get("version") != FORMAT_VERSIONS[kind]:
+        raise ValueError(
+            f"{path}: unknown {kind} format version {doc.get('version')!r}; "
+            f"this reader knows version {FORMAT_VERSIONS[kind]}"
+        )
+    return doc
+
+
+def _full_model(path, doc: dict) -> TranscriberModel:
     config = ModelConfig(**doc["config"])
     params = {name: Tensor(_decode_array(obj), requires_grad=True) for name, obj in doc["base"].items()}
+    want = {name: shape for name, (_, shape) in _param_layout(config).items()}
+    got = {name: t.values.shape for name, t in params.items()}
+    if got != want:
+        bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+        raise ValueError(
+            f"{path}: base weights do not fit its config: "
+            + ", ".join(f"{n} {got.get(n)} (want {want.get(n)})" for n in bad[:4])
+        )
     model = TranscriberModel(config, params)
-    for name, obj in doc["adapters"].items():
+    model.file = BaseFile(os.path.normpath(os.path.abspath(path)), base_digest(model))
+    _load_adapters(path, model, doc["adapters"])
+    return model
+
+
+def _adapted_model(path, doc: dict, base: TranscriberModel | None) -> TranscriberModel:
+    ref = doc["base_ref"]
+    base_path = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), ref["path"]))
+    if base is None:
+        if not os.path.exists(base_path):
+            raise FileNotFoundError(f"{path}: its base checkpoint {base_path} does not exist")
+        base_doc = _read_checkpoint(base_path)
+        if base_doc["kind"] != FULL_KIND:
+            raise ValueError(f"{path}: its base {base_path} is not a full {FULL_KIND}")
+        base = _full_model(base_path, base_doc)
+    where = base.file.path if base.file else "the given base"
+    config = ModelConfig(**doc["config"])
+    if config != base.config:
+        raise ValueError(f"{path}: config {config} does not match the config of {where}: {base.config}")
+    digest = base_digest(base)
+    if digest != ref["base_digest"]:
+        raise ValueError(
+            f"{path}: base digest mismatch: the checkpoint refers to base_digest "
+            f"{ref['base_digest']}, {where} has {digest}"
+        )
+    model = share_base(base)
+    _load_adapters(path, model, doc["adapters"])
+    return model
+
+
+def _load_adapters(path, model: TranscriberModel, entries: dict) -> None:
+    h = model.config.hidden_dim
+    known = {f"{prefix}.{m}" for prefix in model.attention_prefixes() for m in ("wq", "wv")}
+    for name, obj in entries.items():
+        rank = int(obj["rank"])
+        a, b = _decode_array(obj["a"]), _decode_array(obj["b"])
+        if name not in known or rank < 1 or a.shape != (rank, h) or b.shape != (h, rank):
+            raise ValueError(
+                f"{path}: adapter {name} (rank {rank}, A {a.shape}, B {b.shape}) does not fit "
+                f"a model with hidden_dim {h}; adapted projections are {sorted(known)}"
+            )
         model.adapters[name] = LoraAdapter(
-            a=Tensor(_decode_array(obj["a"]), requires_grad=True),
-            b=Tensor(_decode_array(obj["b"]), requires_grad=True),
-            rank=int(obj["rank"]),
+            a=Tensor(a, requires_grad=True),
+            b=Tensor(b, requires_grad=True),
+            rank=rank,
             alpha=float(obj["alpha"]),
             dropout=float(obj["dropout"]),
         )
-    return model, doc["seed_lineage"]

@@ -171,12 +171,40 @@ def _render(text: str, table: np.ndarray, frames_per_token: int) -> np.ndarray:
     return np.repeat(table[ids], frames_per_token, axis=0)
 
 
-def generate_song(seed: int, cfg: GenConfig, language: str | None = None) -> list[PairedSample]:
-    """All segments of one synthetic song, fully determined by `seed`."""
+@dataclass(frozen=True)
+class SongTables:
+    """What every song of one (config, language) is rendered from."""
+
+    words: list[str]
+    vocal: np.ndarray
+    distractor: np.ndarray
+
+
+def song_tables(cfg: GenConfig, language: str) -> SongTables:
+    return SongTables(
+        words=_lang_words(cfg, language),
+        vocal=_embed_table(cfg.embed_seed, cfg.feature_dim),
+        distractor=_embed_table(cfg.distractor_seed, cfg.feature_dim),
+    )
+
+
+def generate_song(
+    seed: int,
+    cfg: GenConfig,
+    language: str | None = None,
+    tables: SongTables | None = None,
+) -> list[PairedSample]:
+    """All segments of one synthetic song, fully determined by `seed`.
+
+    `tables` must be song_tables(cfg, language); callers rendering many songs
+    pass it to build it once.
+    """
     if language is None:
         language = cfg.languages[0]
+    if tables is None:
+        tables = song_tables(cfg, language)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _tag_key(language)]))
-    words = _lang_words(cfg, language)
+    words = tables.words
 
     raw_lines = []
     n_lines = int(rng.integers(cfg.lines_per_song[0], cfg.lines_per_song[1] + 1))
@@ -192,16 +220,14 @@ def generate_song(seed: int, cfg: GenConfig, language: str | None = None) -> lis
     costed = [(line, cfg.frames_per_token * (len(line) + 1)) for line in cleaned]
     segments = merge_segments(costed, cfg.segment_max_frames)
 
-    vocal_table = _embed_table(cfg.embed_seed, cfg.feature_dim)
-    distractor_table = _embed_table(cfg.distractor_seed, cfg.feature_dim)
     out = []
     for seg_idx, seg_lines in enumerate(segments):
         text = " ".join(line for line, _ in seg_lines)
-        base = _render(text, vocal_table, cfg.frames_per_token)
+        base = _render(text, tables.vocal, cfg.frames_per_token)
         x_v = base + rng.normal(0.0, cfg.jitter, size=base.shape)
         distractor_ids = rng.integers(0, len(ALPHABET), size=len(text))
         distractor = np.repeat(
-            distractor_table[distractor_ids], cfg.frames_per_token, axis=0
+            tables.distractor[distractor_ids], cfg.frames_per_token, axis=0
         )
         gain = float(rng.uniform(cfg.gain_range[0], cfg.gain_range[1]))
         x_m = x_v + gain * distractor
@@ -243,8 +269,9 @@ def build_corpus(cfg: GenConfig, songs_per_language: int, seed_base: int) -> lis
     """
     samples = []
     for lang_idx, lang in enumerate(cfg.languages):
+        tables = song_tables(cfg, lang)
         for i in range(songs_per_language):
-            samples.extend(generate_song(seed_base + lang_idx * 10_000 + i, cfg, lang))
+            samples.extend(generate_song(seed_base + lang_idx * 10_000 + i, cfg, lang, tables))
     return samples
 
 
@@ -274,13 +301,17 @@ def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
         if header.get("kind") != "voxmix-corpus":
             raise ValueError(f"{path} is not a voxmix corpus file")
         cfg = GenConfig(**header["gen"])
+        tables: dict[str, SongTables] = {}
         songs: dict[tuple[str, int], list[PairedSample]] = {}
         samples = []
         for line in fh:
             rec = json.loads(line)
-            key = (rec["language"], rec["seed"])
+            lang = rec["language"]
+            key = (lang, rec["seed"])
             if key not in songs:
-                songs[key] = generate_song(rec["seed"], cfg, rec["language"])
+                if lang not in tables:
+                    tables[lang] = song_tables(cfg, lang)
+                songs[key] = generate_song(rec["seed"], cfg, lang, tables[lang])
             sample = songs[key][rec["segment_index"]]
             if sample.text != rec["text"]:
                 raise ValueError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, asdict
 
@@ -355,8 +356,11 @@ def run_experiment(
 ) -> list[TrainMetrics]:
     """Run one training phase to completion; deterministic given plan and corpus.
 
-    Emits a JSON-lines metrics log, and a final checkpoint when a path is given.
-    A non-finite loss aborts with a pointer to the last good checkpoint.
+    Emits a JSON-lines metrics log, and a final checkpoint when a path is
+    given: adapters only when the model shares the base of a loaded full
+    checkpoint (see model.save_checkpoint), in full otherwise. A non-finite
+    loss aborts before that checkpoint is written; for a fine-tune the error
+    names the base checkpoint it started from.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -368,10 +372,11 @@ def run_experiment(
             try:
                 metrics = train_step(model, next(batches), plan, state)
             except NonFiniteLossError as err:
-                last_good = str(checkpoint_path) if checkpoint_path else "none saved"
-                raise RuntimeError(
-                    f"{err}; resume from last good checkpoint: {last_good}"
-                ) from err
+                hint = "no checkpoint was written"
+                base = model.base_file
+                if plan.phase == "finetune" and base is not None and os.path.exists(base.path):
+                    hint += f"; restart from the base checkpoint {base.path}"
+                raise RuntimeError(f"{err}; {hint}") from err
             history.append(metrics)
             fh.write(json.dumps(metrics_record(metrics), sort_keys=True) + "\n")
     if checkpoint_path is not None:

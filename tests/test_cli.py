@@ -1,7 +1,10 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
+
+from voxmix import cli, model
 
 from voxmix.cli import (
     ExperimentSpec,
@@ -28,7 +31,7 @@ from voxmix.cli import (
 from voxmix.decoding import DecodeConfig
 from voxmix.losses import LossConfig
 from voxmix.model import ModelConfig
-from voxmix.synthdata import GenConfig, load_corpus
+from voxmix.synthdata import GenConfig, build_corpus, corpus_digest, load_corpus
 
 
 def micro_spec(out_dir: str) -> ExperimentSpec:
@@ -143,11 +146,51 @@ def test_eval_lists_missing_cells(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def grid_out(tmp_path_factory):
+def grid_run(tmp_path_factory):
+    """A serial micro grid, with the corpus and checkpoint files it read."""
     out = tmp_path_factory.mktemp("grid") / "out"
     spec = micro_spec(str(out))
-    cmd_grid(spec, out, jobs=1)
+    reads = {"corpus": [], "checkpoint": []}
+
+    def recorded(key, fn):
+        def wrapper(path, *args, **kwargs):
+            reads[key].append(Path(path).relative_to(out).as_posix())
+            return fn(path, *args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "load_corpus", recorded("corpus", cli.load_corpus))
+        mp.setattr(model, "_read_checkpoint", recorded("checkpoint", model._read_checkpoint))
+        cmd_grid(spec, out, jobs=1)
+    return spec, out, reads
+
+
+@pytest.fixture(scope="module")
+def grid_out(grid_run):
+    spec, out, _ = grid_run
     return spec, out
+
+
+def test_serial_grid_reads_each_split_and_the_base_once_per_command(grid_run):
+    spec, _, reads = grid_run
+    # pretrain, train for every cell, test in decode, test in eval
+    assert reads["corpus"] == [f"corpora/{s}.jsonl" for s in ("pretrain", "train", "test", "test")]
+    # the base once for all cells and decode, then each cell's adapters once
+    cells = [f"cells/{c.cell_id}_s{s}/checkpoint.json" for c in spec.strategies for s in spec.seeds]
+    assert reads["checkpoint"] == ["checkpoints/pretrain.json"] + cells
+
+
+def test_cell_checkpoints_hold_only_adapters(grid_out):
+    spec, out = grid_out
+    base = out / "checkpoints" / "pretrain.json"
+    for cell in spec.strategies:
+        for seed in spec.seeds:
+            path = cell_dir(out, cell.cell_id, seed) / "checkpoint.json"
+            doc = json.loads(path.read_text())
+            assert doc["kind"] == "voxmix-adapters"
+            assert doc["base_ref"]["path"] == "../../checkpoints/pretrain.json"
+            assert path.stat().st_size < 0.1 * base.stat().st_size
 
 
 def test_grid_emits_every_cell(grid_out):
@@ -226,3 +269,77 @@ def test_main_cli_round_trip(tmp_path):
     assert main(["finetune", "voc", "--seed", "0", "--spec", str(spec_path)]) == 0
     with pytest.raises(SystemExit):
         main(["finetune", "voc", "--seed", "7", "--spec", str(spec_path)])
+
+
+def _copy_of(grid_out, tmp_path) -> Path:
+    _, out = grid_out
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    return copy
+
+
+@pytest.mark.parametrize("damage", ["truncate", "duplicate", "unknown_id", "condition"])
+def test_eval_refuses_incomplete_transcripts(grid_out, tmp_path, damage):
+    spec = grid_out[0]
+    out = _copy_of(grid_out, tmp_path)
+    path = transcript_path(out, "pretrained", "voc")
+    lines = path.read_text().splitlines(keepends=True)
+    expected = len(lines)
+    if damage == "truncate":
+        lines = lines[:3]
+    elif damage == "duplicate":
+        lines[1] = lines[0]
+    elif damage == "unknown_id":
+        lines[0] = json.dumps({**json.loads(lines[0]), "sample_id": "nope-1-0"}) + "\n"
+    else:
+        lines[0] = json.dumps({**json.loads(lines[0]), "condition": "mix"}) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(SystemExit, match="incomplete transcripts") as err:
+        cmd_eval(spec, out)
+    assert str(path) in str(err.value)
+    assert f"has {len(lines)} lines" in str(err.value)
+    assert f"expected {expected}" in str(err.value)
+
+
+def test_finetune_on_truncated_base_names_the_file(grid_out, tmp_path):
+    spec = grid_out[0]
+    out = _copy_of(grid_out, tmp_path)
+    base = out / "checkpoints" / "pretrain.json"
+    base.write_bytes(base.read_bytes()[:1000])
+    with pytest.raises(ValueError, match="truncated") as err:
+        cmd_finetune(spec, out, "voc", seed=0)
+    assert str(base) in str(err.value)
+
+
+def test_moved_output_directory_still_decodes(grid_out, tmp_path):
+    spec, out = grid_out
+    moved = tmp_path / "moved"
+    shutil.move(_copy_of(grid_out, tmp_path), moved)
+    cell = "cns_l2_w1.0_s1"
+    for cond in ("mix", "voc"):
+        transcript_path(moved, cell, cond).unlink()
+    cmd_decode(spec, moved, only=[cell])
+    for cond in ("mix", "voc"):
+        assert transcript_path(moved, cell, cond).read_bytes() == transcript_path(out, cell, cond).read_bytes()
+
+
+# digests of the default spec's splits, as rendered before the per-language
+# tables were built once per corpus instead of once per song
+SPLIT_DIGESTS = {
+    "pretrain": "d8269b48f2835aa98ab5faf4b555b95b87ca07bf5216d443a10e45dc12d105d5",
+    "train": "9b79dc0bc0d48883a3fffd833b1b413bbad5e5b03a16573051fcdbb1e0ce262f",
+    "dev": "68bfc639e9ab99d03950735069507b2f58f167f68a9f7bc6d82c42fa84f0d71b",
+    "test": "b17b0d513f3f6c6fda840f314ec0fd30f83151c68f031c6712122520c93e6500",
+}
+
+
+def test_every_split_renders_unchanged(tmp_path):
+    spec = default_spec(str(tmp_path))
+    cmd_gen_data(spec, tmp_path)
+    for split, digest in SPLIT_DIGESTS.items():
+        built = build_corpus(
+            cli._split_gen(spec, split), spec.corpus_songs[split], cli._split_seed_base(spec, split)
+        )
+        _, loaded = load_corpus(corpus_path(tmp_path, split))
+        assert corpus_digest(built) == digest, split
+        assert corpus_digest(loaded) == digest, split

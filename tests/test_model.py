@@ -1,3 +1,7 @@
+import json
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -12,9 +16,11 @@ from voxmix.model import (
     build_model,
     decoder_forward,
     encode,
+    encode_batch,
     load_checkpoint,
     lora_linear,
     save_checkpoint,
+    share_base,
     trainable_parameters,
 )
 from voxmix.numerics import Tensor, backward, zero_grads
@@ -273,3 +279,159 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text("{\"kind\": \"something-else\"}")
     with pytest.raises(ValueError, match="checkpoint"):
         load_checkpoint(path)
+
+
+def _cell_over_saved_base(root, seed=3):
+    """A full base checkpoint under root/checkpoints, and a cell model over it
+    with trained-looking adapters, saved under root/cells/c."""
+    (root / "checkpoints").mkdir(parents=True)
+    (root / "cells" / "c").mkdir(parents=True)
+    base_path = root / "checkpoints" / "base.json"
+    save_checkpoint(build_model(ModelConfig(), seed=seed), base_path)
+    base, _ = load_checkpoint(base_path)
+    cell = share_base(base)
+    attach_adapters(cell, rank=4, alpha=4.0, dropout=0.1, seed=5)
+    rng = np.random.default_rng(14)
+    for ad in cell.adapters.values():
+        ad.b.values[:] = rng.standard_normal(ad.b.values.shape)
+    cell_path = root / "cells" / "c" / "checkpoint.json"
+    save_checkpoint(cell, cell_path, {"adapter_seed": 5})
+    return base, cell, cell_path
+
+
+def _edit(path, change):
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_adapter_checkpoint_round_trip_is_bit_exact(tmp_path):
+    base, cell, path = _cell_over_saved_base(tmp_path)
+    doc = json.loads(path.read_text())
+    assert doc["kind"] == "voxmix-adapters"
+    assert "base" not in doc
+    assert doc["base_ref"] == {"path": "../../checkpoints/base.json", "base_digest": base_digest(base)}
+    assert path.stat().st_size < 0.1 * (tmp_path / "checkpoints" / "base.json").stat().st_size
+
+    x = np.random.default_rng(2).standard_normal((2, 10, cell.config.feature_dim))
+    mask = np.ones((2, 10), dtype=bool)
+    want = encode_batch(cell, x, mask, train_mode=False).values
+    for loaded, lineage in (load_checkpoint(path), load_checkpoint(path, base=base)):
+        assert lineage == {"adapter_seed": 5}
+        assert loaded.config == cell.config
+        assert base_digest(loaded) == base_digest(base)
+        assert loaded.adapters.keys() == cell.adapters.keys()
+        for name, ad in cell.adapters.items():
+            assert np.array_equal(loaded.adapters[name].a.values, ad.a.values)
+            assert np.array_equal(loaded.adapters[name].b.values, ad.b.values)
+        assert np.array_equal(encode_batch(loaded, x, mask, train_mode=False).values, want)
+
+    again = tmp_path / "cells" / "c" / "again.json"
+    save_checkpoint(load_checkpoint(path)[0], again, {"adapter_seed": 5})
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_adapter_checkpoint_loads_from_a_moved_directory(tmp_path):
+    base, cell, path = _cell_over_saved_base(tmp_path / "out")
+    shutil.move(tmp_path / "out", tmp_path / "moved")
+    loaded, _ = load_checkpoint(tmp_path / "moved" / "cells" / "c" / "checkpoint.json")
+    assert loaded.base_file.path == os.path.abspath(tmp_path / "moved" / "checkpoints" / "base.json")
+    assert base_digest(loaded) == base_digest(base)
+
+
+def test_adapter_checkpoint_refuses_another_base(tmp_path):
+    base, _, path = _cell_over_saved_base(tmp_path)
+    other = build_model(ModelConfig(), seed=4)
+    with pytest.raises(ValueError, match="digest") as err:
+        load_checkpoint(path, base=other)
+    assert str(path) in str(err.value)
+    assert base_digest(base) in str(err.value) and base_digest(other) in str(err.value)
+
+    # the referenced file itself replaced by another base
+    save_checkpoint(other, tmp_path / "checkpoints" / "base.json")
+    with pytest.raises(ValueError, match=base_digest(other)) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value) and base_digest(base) in str(err.value)
+
+
+def test_adapter_checkpoint_refuses_another_config(tmp_path):
+    _, _, path = _cell_over_saved_base(tmp_path)
+    # same weight shapes and values, so the same base_digest, but another head split
+    other = build_model(ModelConfig(num_heads=4), seed=3)
+    with pytest.raises(ValueError, match="config") as err:
+        load_checkpoint(path, base=other)
+    assert str(path) in str(err.value)
+
+
+def test_adapter_checkpoint_refuses_wrong_adapter_shapes(tmp_path):
+    _, _, path = _cell_over_saved_base(tmp_path)
+
+    def reshape(doc):
+        doc["adapters"]["enc.0.attn.wq"]["a"]["shape"] = [8, 16]
+
+    _edit(path, reshape)
+    with pytest.raises(ValueError, match="enc.0.attn.wq") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_full_checkpoint_refuses_weights_that_do_not_fit_its_config(base_model, tmp_path):
+    path = tmp_path / "full.json"
+    save_checkpoint(base_model, path)
+    _edit(path, lambda doc: doc["config"].update(hidden_dim=16))
+    with pytest.raises(ValueError, match="config") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("which", ["full", "adapters"])
+def test_checkpoint_refuses_unknown_version(which, tmp_path):
+    _, _, path = _cell_over_saved_base(tmp_path)
+    if which == "full":
+        path = tmp_path / "checkpoints" / "base.json"
+    _edit(path, lambda doc: doc.update(version=99))
+    with pytest.raises(ValueError, match="version 99") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_truncated_checkpoint_names_the_file(base_model, tmp_path):
+    path = tmp_path / "cut.json"
+    save_checkpoint(base_model, path)
+    path.write_bytes(path.read_bytes()[:1000])
+    with pytest.raises(ValueError, match="truncated or not JSON") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_adapter_checkpoint_with_missing_base_names_the_base(tmp_path):
+    _, _, path = _cell_over_saved_base(tmp_path)
+    base_path = tmp_path / "checkpoints" / "base.json"
+    base_path.unlink()
+    with pytest.raises(FileNotFoundError) as err:
+        load_checkpoint(path)
+    assert str(base_path) in str(err.value)
+
+
+def test_checkpoint_write_is_atomic(base_model, adapted_model, tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_checkpoint(base_model, path)
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="killed"):
+        save_checkpoint(adapted_model, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+def test_shared_base_is_read_only(base_model):
+    cell = share_base(base_model)
+    assert cell.params["dec.out.b"].values is base_model.params["dec.out.b"].values
+    with pytest.raises(ValueError, match="read-only"):
+        cell.params["dec.out.b"].values += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        base_model.params["enc.in.w"].values[0, 0] = 0.0

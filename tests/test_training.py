@@ -10,6 +10,9 @@ from voxmix.model import (
     attach_adapters,
     base_digest,
     build_model,
+    load_checkpoint,
+    save_checkpoint,
+    share_base,
 )
 from voxmix.numerics import Tensor
 from voxmix.synthdata import GenConfig, build_corpus, split_config
@@ -325,6 +328,61 @@ def test_metrics_log_schema(tiny_corpus, tmp_path):
         assert set(rec) == {"step", "lr", "l_v", "l_m", "l_cns", "l_total"}
         assert rec["step"] == i
         assert all(isinstance(rec[k], float) for k in ("lr", "l_v", "l_m", "l_cns", "l_total"))
+
+
+def _nan_biased_base(tmp_path):
+    """A saved base whose output biases are NaN, so the first loss is NaN."""
+    model = build_model(ModelConfig(), seed=2)
+    model.params["dec.out.b"].values[:] = np.nan
+    path = tmp_path / "base.json"
+    save_checkpoint(model, path)
+    return path
+
+
+def test_nan_abort_of_a_finetune_names_its_base(tiny_corpus, tmp_path):
+    base_path = _nan_biased_base(tmp_path)
+    base, _ = load_checkpoint(base_path)
+    model = share_base(base)
+    attach_adapters(model, 4, 4.0, 0.1, seed=9)
+    ckpt = tmp_path / "cell.json"
+    with pytest.raises(RuntimeError, match="non-finite loss") as err:
+        run_experiment(finetune_plan("voc", steps=4), tiny_corpus, model, tmp_path / "m.jsonl", ckpt)
+    assert "no checkpoint was written" in str(err.value)
+    assert f"restart from the base checkpoint {base_path}" in str(err.value)
+    assert not ckpt.exists()
+
+
+def test_nan_abort_does_not_name_a_stale_checkpoint(tiny_corpus, tmp_path):
+    model, _ = load_checkpoint(_nan_biased_base(tmp_path))
+    stale = tmp_path / "stale.json"
+    stale.write_text("{}")
+    plan = TrainPlan(
+        phase="pretrain", loss=LossConfig(strategy="voc"), peak_lr=3e-3, total_steps=4, batch_size=4
+    )
+    with pytest.raises(RuntimeError, match="no checkpoint was written") as err:
+        run_experiment(plan, tiny_corpus, model, tmp_path / "m.jsonl", stale)
+    assert str(stale) not in str(err.value)
+    assert "base.json" not in str(err.value)
+    assert stale.read_text() == "{}"
+
+
+def test_write_to_shared_base_during_finetune_raises(tiny_corpus, tmp_path):
+    path = tmp_path / "base.json"
+    save_checkpoint(build_model(ModelConfig(), seed=2), path)
+    base, _ = load_checkpoint(path)
+    digest = base_digest(base)
+    model = share_base(base)
+    attach_adapters(model, 4, 4.0, 0.1, seed=9)
+    run_experiment(finetune_plan("cns", steps=3), tiny_corpus, model, tmp_path / "ft.jsonl")
+    assert base_digest(base) == digest
+
+    # an optimizer that also stepped the base weights would write into the shared arrays
+    plan = TrainPlan(
+        phase="pretrain", loss=LossConfig(strategy="voc"), peak_lr=3e-3, total_steps=3, batch_size=4
+    )
+    with pytest.raises(ValueError, match="read-only"):
+        run_experiment(plan, tiny_corpus, model, tmp_path / "pre.jsonl")
+    assert base_digest(base) == digest
 
 
 def test_finetune_loss_drops_at_desk_scale(gen_cfg, tiny_corpus, tmp_path):
