@@ -14,7 +14,8 @@ and checkpoint.json, the cell's LoRA adapters and seed lineage with a
 reference to ../../checkpoints/pretrain.json and its base_digest; the
 pretrained base is not copied into it. Decode and a serial grid load the
 base and each corpus once per command and share the frozen base, read-only,
-across cells.
+across cells; in a parallel grid each worker loads them once. Every file
+is written atomically (see files.atomic_write).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from voxmix.decoding import DecodeConfig, transcribe_batch
 from voxmix.evaluation import aggregate, comparison_markdown, report_csv, wer
+from voxmix.files import atomic_write
 from voxmix.losses import LossConfig
 from voxmix.model import (
     ModelConfig,
@@ -195,7 +197,7 @@ def load_spec(path) -> ExperimentSpec:
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(spec_to_doc(spec), sort_keys=True, indent=2) + "\n")
 
 
@@ -349,7 +351,7 @@ def _decode_model_to_files(spec: ExperimentSpec, out: Path, cell: str, model, te
     for condition in ("mix", "voc"):
         windows = [s.x_m if condition == "mix" else s.x_v for s in test]
         token_rows = transcribe_batch(model, windows, spec.decode)
-        with open(transcript_path(out, cell, condition), "w", encoding="utf-8") as fh:
+        with atomic_write(transcript_path(out, cell, condition)) as fh:
             for sample, tokens in zip(test, token_rows):
                 rec = {"sample_id": sample.sample_id, "condition": condition,
                        "text": detokenize(tokens)}
@@ -367,9 +369,11 @@ def cmd_decode(
     out: Path,
     only: list[str] | None = None,
     base: TranscriberModel | None = None,
+    test: list[PairedSample] | None = None,
 ) -> None:
-    """Transcribe the test split with each model; the base is loaded once unless given."""
-    test = _load_split(out, "test")
+    """Transcribe the test split with each model; the base and the split are
+    loaded once here unless given."""
+    test = test if test is not None else _load_split(out, "test")
     base = base if base is not None else _load_base(out)
     for cell in only or all_cells(spec):
         if cell == PRETRAINED_CELL:
@@ -436,7 +440,8 @@ def cmd_eval(spec: ExperimentSpec, out: Path) -> None:
             (sid, cond): wer(refs[sid], text) for (sid, cond), text in sorted(hyps.items())
         }
         report = aggregate(details, subset_map)
-        (rdir / f"{cell}.csv").write_text(report_csv(report), encoding="utf-8")
+        with atomic_write(rdir / f"{cell}.csv") as fh:
+            fh.write(report_csv(report))
         pooled_by_cell[cell] = {key: d.wer for key, d in report.pooled.items()}
 
     rows = [(PRETRAINED_CELL, pooled_by_cell[PRETRAINED_CELL])]
@@ -447,12 +452,14 @@ def cmd_eval(spec: ExperimentSpec, out: Path) -> None:
             per_key[key] = float(np.median(values))
         rows.append((cell.cell_id, per_key))
 
-    (rdir / "summary.md").write_text(comparison_markdown(rows, subsets), encoding="utf-8")
+    with atomic_write(rdir / "summary.md") as fh:
+        fh.write(comparison_markdown(rows, subsets))
     lines = ["strategy,subset,condition,wer_median"]
     for name, cells in rows:
         for (subset, condition) in sorted(cells):
             lines.append(f"{name},{subset},{condition},{cells[(subset, condition)]:.6f}")
-    (rdir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(rdir / "summary.csv") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +467,37 @@ def cmd_eval(spec: ExperimentSpec, out: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _finetune_worker(spec_doc: dict, out_dir: str, cell_id: str, seed: int) -> str:
-    cmd_finetune(spec_from_doc(spec_doc), Path(out_dir), cell_id, seed)
-    return cell_name(cell_id, seed)
+# A worker process of a parallel grid: the spec and output directory, the
+# base that _init_worker loads once, and each split once it is first used.
+_worker: dict = {}
 
 
-def _decode_worker(spec_doc: dict, out_dir: str, cell: str) -> str:
-    cmd_decode(spec_from_doc(spec_doc), Path(out_dir), only=[cell])
-    return cell
+def _init_worker(spec_doc: dict, out_dir: str) -> None:
+    out = Path(out_dir)
+    _worker.clear()
+    _worker.update(spec=spec_from_doc(spec_doc), out=out, base=_load_base(out), splits={})
+
+
+def _worker_split(split: str) -> list[PairedSample]:
+    splits = _worker["splits"]
+    if split not in splits:
+        splits[split] = _load_split(_worker["out"], split)
+    return splits[split]
+
+
+def _finetune_worker(cell_id: str, seed: int) -> None:
+    cmd_finetune(_worker["spec"], _worker["out"], cell_id, seed,
+                 base=_worker["base"], train=_worker_split("train"))
+
+
+def _decode_worker(cell: str) -> None:
+    cmd_decode(_worker["spec"], _worker["out"], only=[cell],
+               base=_worker["base"], test=_worker_split("test"))
 
 
 def cmd_grid(spec: ExperimentSpec, out: Path, jobs: int = 1) -> None:
+    """The whole pipeline; with jobs > 1, cells go one at a time to workers
+    that each load the base once and each split on first use."""
     cmd_gen_data(spec, out)
     cmd_pretrain(spec, out)
     units = [(c.cell_id, seed) for c in spec.strategies for seed in spec.seeds]
@@ -481,11 +508,10 @@ def cmd_grid(spec: ExperimentSpec, out: Path, jobs: int = 1) -> None:
             cmd_finetune(spec, out, cell_id, seed, base=base, train=train)
         cmd_decode(spec, out, base=base)
     else:
-        doc = spec_to_doc(spec)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(_finetune_worker, *zip(*[(doc, str(out), c, s) for c, s in units])))
-            cells = all_cells(spec)
-            list(pool.map(_decode_worker, *zip(*[(doc, str(out), c) for c in cells])))
+        init = (spec_to_doc(spec), str(out))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=init) as pool:
+            list(pool.map(_finetune_worker, [c for c, _ in units], [s for _, s in units]))
+            list(pool.map(_decode_worker, all_cells(spec)))
     cmd_eval(spec, out)
 
 

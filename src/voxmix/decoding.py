@@ -1,5 +1,13 @@
-"""Autoregressive inference: greedy decoding plus long-form transcription
-over fixed non-overlapping windows.
+"""Autoregressive inference: batched greedy decoding plus long-form
+transcription over fixed non-overlapping windows.
+
+`transcribe_batch` is the one inference path: a single window is decoded
+as `transcribe_batch(model, [x], cfg)[0]`, and `longform_decode` batches
+the windows of a long input through it. It runs the eval-mode forward passes inside
+`numerics.no_grad()`, so decoding records no autograd graph and frees
+each step's intermediates as it goes; the arithmetic, and so every token,
+is the same as with recording on. No parameter's `requires_grad` flag is
+touched.
 
 Decoding is domain-agnostic by construction: the model gets no signal
 about whether the features are a vocal track or a mixture, and no prompt
@@ -13,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxmix.model import TranscriberModel, decode_batch, decoder_forward, encode, encode_batch
+from voxmix import numerics as nm
+from voxmix.model import TranscriberModel, decode_batch, encode_batch
 from voxmix.synthdata import BOS_ID, EOS_ID, PAD_ID, detokenize
 
 
@@ -37,40 +46,22 @@ def _check_window(model: TranscriberModel, cfg: DecodeConfig) -> None:
         )
 
 
-def greedy_decode(model: TranscriberModel, x: np.ndarray, cfg: DecodeConfig) -> list[int]:
-    """Tokens [BOS, ..., EOS] for one window of features (T_a, F)."""
-    _check_window(model, cfg)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] > cfg.window_frames:
-        raise ValueError(
-            f"{x.shape[0]} frames exceeds window_frames {cfg.window_frames}; "
-            "use longform_decode for longer inputs"
-        )
-    enc = encode(model, x, train_mode=False)
-    limit = min(cfg.max_tokens, model.config.max_token_len)
-    y = [BOS_ID]
-    while True:
-        logits = decoder_forward(model, enc, y, train_mode=False)
-        nxt = int(np.argmax(logits.values[-1]))
-        y.append(nxt)
-        if nxt == EOS_ID or len(y) >= limit:
-            return y
-
-
 def transcribe_batch(
     model: TranscriberModel, windows: list[np.ndarray], cfg: DecodeConfig
 ) -> list[list[int]]:
-    """Greedy-decode many windows in one padded batch.
+    """Greedy-decode many windows in one padded batch, recording no graph.
 
-    Produces exactly the same token sequences as per-window greedy_decode;
-    padding is hidden behind attention masks and finished rows keep
-    emitting into discarded positions until every row has stopped.
+    Each row's tokens are the same as decoding its window alone; padding is
+    hidden behind attention masks and finished rows keep emitting into
+    discarded positions until every row has stopped.
     """
     _check_window(model, cfg)
     if not windows:
         return []
     windows = [np.asarray(w, dtype=np.float64) for w in windows]
     for w in windows:
+        if w.ndim != 2:
+            raise ValueError(f"expected a (frames, features) window, got shape {w.shape}")
         if w.shape[0] > cfg.window_frames:
             raise ValueError(
                 f"{w.shape[0]} frames exceeds window_frames {cfg.window_frames}; "
@@ -84,23 +75,20 @@ def transcribe_batch(
         feats[i, : w.shape[0]] = w
         mask[i, : w.shape[0]] = True
 
-    enc = encode_batch(model, feats, mask, train_mode=False)
     limit = min(cfg.max_tokens, model.config.max_token_len)
     y = np.full((bsz, 1), BOS_ID, dtype=np.int64)
     done = np.zeros(bsz, dtype=bool)
-    while True:
-        logits = decode_batch(model, enc, mask, y, train_mode=False)
-        nxt = np.argmax(logits.values[:, -1, :], axis=-1)
-        nxt = np.where(done, PAD_ID, nxt)
-        y = np.concatenate([y, nxt[:, None]], axis=1)
-        done |= nxt == EOS_ID
-        if done.all() or y.shape[1] >= limit:
-            break
-    out = []
-    for i in range(bsz):
-        toks = [int(t) for t in y[i] if t != PAD_ID]
-        out.append(toks)
-    return out
+    with nm.no_grad():
+        enc = encode_batch(model, feats, mask, train_mode=False)
+        while True:
+            logits = decode_batch(model, enc, mask, y, train_mode=False)
+            nxt = np.argmax(logits.values[:, -1, :], axis=-1)
+            nxt = np.where(done, PAD_ID, nxt)
+            y = np.concatenate([y, nxt[:, None]], axis=1)
+            done |= nxt == EOS_ID
+            if done.all() or y.shape[1] >= limit:
+                break
+    return [[int(t) for t in row if t != PAD_ID] for row in y]
 
 
 def longform_decode(model: TranscriberModel, x_long: np.ndarray, cfg: DecodeConfig) -> str:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from voxmix import numerics as nm
+from voxmix.files import atomic_write
 from voxmix.numerics import Tensor
 from voxmix.synthdata import BOS_ID, VOCAB_SIZE
 
@@ -481,7 +482,7 @@ def _base_reference(model: TranscriberModel, path) -> dict | None:
 
 
 def save_checkpoint(model: TranscriberModel, path, seed_lineage: dict | None = None) -> None:
-    """Write `model` atomically: a temporary file in the same directory, then a rename."""
+    """Write `model` atomically (see files.atomic_write)."""
     doc = {
         "config": asdict(model.config),
         "seed_lineage": seed_lineage or {},
@@ -505,17 +506,8 @@ def save_checkpoint(model: TranscriberModel, path, seed_lineage: dict | None = N
         doc["base_ref"] = ref
     doc["version"] = FORMAT_VERSIONS[doc["kind"]]
 
-    path = os.fspath(path)
-    tmp = os.path.join(
-        os.path.dirname(path) or ".", f".{os.path.basename(path)}.{os.getpid()}.tmp"
-    )
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def load_checkpoint(path, base: TranscriberModel | None = None) -> tuple[TranscriberModel, dict]:

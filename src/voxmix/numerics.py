@@ -1,10 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Each operation builds a node that remembers its parent tensors and a
-backward rule. `backward(loss)` walks the graph once in reverse
-topological order and accumulates gradients into every `requires_grad`
-leaf; gradients keep accumulating across backward calls until the leaf
-is explicitly zeroed. Graphs are rebuilt per forward pass.
+An operation whose result needs a gradient (some input has
+`requires_grad`) builds a node that remembers its parent tensors and a
+backward rule; any other result is a plain value that holds no graph, so
+its inputs and intermediates are freed as soon as nothing else uses them.
+Inside `with no_grad():` nothing is recorded at all, whatever the inputs;
+inference runs there. `backward(loss)` walks the recorded graph once in
+reverse topological order and accumulates gradients into every
+`requires_grad` leaf; gradients keep accumulating across backward calls
+until the leaf is explicitly zeroed. Graphs are rebuilt per forward pass.
 
 Everything is double precision and CPU-only on purpose: the models here
 are desk-scale and the whole engine is validated against central finite
@@ -13,12 +17,15 @@ differences.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 __all__ = [
     "Tensor",
     "backward",
     "zero_grads",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -46,9 +53,9 @@ __all__ = [
 class Tensor:
     """A dense float64 array plus an optional gradient slot.
 
-    Leaves are created directly; op results carry `_parents` and a
-    `_backward` rule. `grad` is lazily allocated by `backward` and only
-    ever populated on requires_grad leaves.
+    Leaves are created directly; op results that need a gradient carry
+    `_parents` and a `_backward` rule. `grad` is lazily allocated by
+    `backward` and only ever populated on requires_grad leaves.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
@@ -91,13 +98,37 @@ class Tensor:
         return scale(self, -1.0)
 
 
+# whether ops record the graph; no_grad() clears it for the length of a block
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block: every op result needs no gradient.
+
+    The previous state comes back on exit, also when the block raises. The
+    state is one module flag, shared by every thread of the process.
+    """
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _node(values: np.ndarray, parents: tuple[Tensor, ...], rule) -> Tensor:
+    """An op result; it keeps its parents and rule only if a gradient can reach them."""
     out = Tensor.__new__(Tensor)
     out.values = values
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
-    out._parents = parents
-    out._backward = rule
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
+    if out.requires_grad:
+        out._parents = parents
+        out._backward = rule
+    else:
+        out._parents = ()
+        out._backward = None
     return out
 
 

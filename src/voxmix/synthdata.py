@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
+from voxmix.files import atomic_write
+
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 PAD_ID = 0
 BOS_ID = 1
@@ -281,7 +283,7 @@ def build_corpus(cfg: GenConfig, songs_per_language: int, seed_base: int) -> lis
 
 
 def write_corpus(path, cfg: GenConfig, samples: list[PairedSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         header = {"kind": "voxmix-corpus", "version": 1, "gen": asdict(cfg)}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for s in samples:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from voxmix import numerics as nm
+from voxmix.files import atomic_write
 from voxmix.losses import LossBreakdown, LossConfig, alt_loss, combined_loss, consistency_loss
 from voxmix.model import TranscriberModel, decode_batch, encode_batch, save_checkpoint, set_trainable
 from voxmix.numerics import Tensor, backward, zero_grads
@@ -356,23 +357,28 @@ def run_experiment(
 ) -> list[TrainMetrics]:
     """Run one training phase to completion; deterministic given plan and corpus.
 
-    Emits a JSON-lines metrics log, and a final checkpoint when a path is
-    given: adapters only when the model shares the base of a loaded full
-    checkpoint (see model.save_checkpoint), in full otherwise. A non-finite
-    loss aborts before that checkpoint is written; for a fine-tune the error
-    names the base checkpoint it started from.
+    Emits a JSON-lines metrics log, written during training to
+    `.<name>.tmp` beside `metrics_path` and renamed into place after the last
+    step, and a final checkpoint when a path is given: adapters only when the
+    model shares the base of a loaded full checkpoint (see
+    model.save_checkpoint), in full otherwise. A non-finite loss, or any
+    other exception, aborts before either is put in place, so a previous log
+    or checkpoint at those paths is left as it was; the log of the steps
+    before the abort is kept as `<metrics_path>.aborted`. The NaN error names
+    that file and, for a fine-tune, the base checkpoint it started from.
     """
     if not corpus:
         raise ValueError("empty corpus")
     state = make_train_state(model, plan)
     batches = _batches(corpus, plan.batch_size, data_rng_for(plan))
     history = []
-    with open(metrics_path, "w", encoding="utf-8") as fh:
+    aborted = f"{os.fspath(metrics_path)}.aborted"
+    with atomic_write(metrics_path, partial=aborted) as fh:
         for _ in range(plan.total_steps):
             try:
                 metrics = train_step(model, next(batches), plan, state)
             except NonFiniteLossError as err:
-                hint = "no checkpoint was written"
+                hint = f"the steps before it are logged in {aborted}; no checkpoint was written"
                 base = model.base_file
                 if plan.phase == "finetune" and base is not None and os.path.exists(base.path):
                     hint += f"; restart from the base checkpoint {base.path}"

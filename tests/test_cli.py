@@ -150,6 +150,14 @@ def grid_run(tmp_path_factory):
     """A serial micro grid, with the corpus and checkpoint files it read."""
     out = tmp_path_factory.mktemp("grid") / "out"
     spec = micro_spec(str(out))
+    with pytest.MonkeyPatch.context() as mp:
+        reads = _record_reads(mp, out)
+        cmd_grid(spec, out, jobs=1)
+    return spec, out, reads
+
+
+def _record_reads(mp, out: Path) -> dict[str, list[str]]:
+    """Record, relative to `out`, each corpus and checkpoint file read from now on."""
     reads = {"corpus": [], "checkpoint": []}
 
     def recorded(key, fn):
@@ -159,11 +167,9 @@ def grid_run(tmp_path_factory):
 
         return wrapper
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "load_corpus", recorded("corpus", cli.load_corpus))
-        mp.setattr(model, "_read_checkpoint", recorded("checkpoint", model._read_checkpoint))
-        cmd_grid(spec, out, jobs=1)
-    return spec, out, reads
+    mp.setattr(cli, "load_corpus", recorded("corpus", cli.load_corpus))
+    mp.setattr(model, "_read_checkpoint", recorded("checkpoint", model._read_checkpoint))
+    return reads
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +264,31 @@ def test_parallel_grid_matches_serial(tmp_path):
         "transcripts/pretrained/mix.jsonl",
     ):
         assert (serial_out / rel).read_bytes() == (parallel_out / rel).read_bytes()
+
+
+def test_parallel_worker_reads_the_base_and_each_split_once(grid_out, tmp_path, monkeypatch):
+    spec, out = grid_out
+    copy = _copy_of(grid_out, tmp_path)
+    units = [(c.cell_id, seed) for c in spec.strategies for seed in spec.seeds][1:]
+    cells = [f"{cell_id}_s{seed}" for cell_id, seed in units]
+    outputs = [cell_dir(copy, c, s) / name for c, s in units for name in ("metrics.jsonl", "checkpoint.json")]
+    outputs += [transcript_path(copy, cell, cond) for cell in cells for cond in ("mix", "voc")]
+    for path in outputs:
+        path.unlink()
+
+    reads = _record_reads(monkeypatch, copy)
+    monkeypatch.setattr(cli, "_worker", {})
+    cli._init_worker(spec_to_doc(spec), str(copy))
+    for cell_id, seed in units:
+        cli._finetune_worker(cell_id, seed)
+    for cell in cells:
+        cli._decode_worker(cell)
+    assert reads["corpus"] == ["corpora/train.jsonl", "corpora/test.jsonl"]
+    assert reads["checkpoint"] == ["checkpoints/pretrain.json"] + [
+        f"cells/{cell}/checkpoint.json" for cell in cells
+    ]
+    for path in outputs:
+        assert path.read_bytes() == (out / path.relative_to(copy)).read_bytes()
 
 
 def test_main_cli_round_trip(tmp_path):

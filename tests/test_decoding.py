@@ -1,13 +1,20 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from voxmix.decoding import DecodeConfig, greedy_decode, longform_decode, transcribe_batch
+from voxmix import numerics as nm
+from voxmix.decoding import DecodeConfig, longform_decode, transcribe_batch
 from voxmix.losses import LossConfig
 from voxmix.model import (
     ModelConfig,
     attach_adapters,
     base_digest,
     build_model,
+    decode_batch,
+    encode_batch,
+    set_trainable,
 )
 from voxmix.synthdata import (
     ALPHABET,
@@ -19,7 +26,7 @@ from voxmix.synthdata import (
     generate_sample,
     split_config,
 )
-from voxmix.training import TrainPlan, run_experiment
+from voxmix.training import TrainPlan, pad_batch, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -56,27 +63,34 @@ def test_forced_eos_stops_immediately(cfg):
     model = build_model(ModelConfig(), seed=5)
     model.params["dec.out.b"].values[EOS_ID] = 1000.0
     x = np.random.default_rng(0).standard_normal((10, model.config.feature_dim))
-    assert greedy_decode(model, x, cfg) == [BOS_ID, EOS_ID]
+    assert transcribe_batch(model, [x], cfg)[0] == [BOS_ID, EOS_ID]
 
 
 def test_greedy_decode_deterministic(trained, clean_cfg, cfg):
     s = generate_sample(90_000, clean_cfg)
-    a = greedy_decode(trained, s.x_v, cfg)
-    b = greedy_decode(trained, s.x_v, cfg)
+    a = transcribe_batch(trained, [s.x_v], cfg)[0]
+    b = transcribe_batch(trained, [s.x_v], cfg)[0]
     assert a == b
 
 
 def test_greedy_decode_respects_window_limit(trained, cfg):
     x = np.zeros((cfg.window_frames + 1, trained.config.feature_dim))
     with pytest.raises(ValueError, match="longform"):
-        greedy_decode(trained, x, cfg)
+        transcribe_batch(trained, [x], cfg)[0]
+
+
+def test_transcribe_batch_rejects_non_2d_window(trained, cfg):
+    with pytest.raises(ValueError, match="frames, features"):
+        transcribe_batch(trained, [np.zeros(trained.config.feature_dim)], cfg)[0]
+    with pytest.raises(ValueError, match="frames, features"):
+        transcribe_batch(trained, [np.zeros((1, 8, trained.config.feature_dim))], cfg)[0]
 
 
 def test_greedy_decode_caps_output_length(cfg):
     model = build_model(ModelConfig(), seed=6)
     model.params["dec.out.b"].values[EOS_ID] = -1000.0  # never emits EOS
     x = np.random.default_rng(1).standard_normal((8, model.config.feature_dim))
-    tokens = greedy_decode(model, x, cfg)
+    tokens = transcribe_batch(model, [x], cfg)[0]
     assert len(tokens) == cfg.max_tokens
     assert EOS_ID not in tokens[1:]
 
@@ -87,7 +101,7 @@ def test_trained_model_transcribes_held_out_clean_sample(trained, clean_cfg, cfg
     details = []
     for seed in range(90_010, 90_020):
         s = generate_sample(seed, clean_cfg)
-        hyp = detokenize(greedy_decode(trained, s.x_v, cfg))
+        hyp = detokenize(transcribe_batch(trained, [s.x_v], cfg)[0])
         details.append(wer(s.text, hyp))
     pooled = sum(d.substitutions + d.deletions + d.insertions for d in details) / sum(
         d.ref_words for d in details
@@ -99,22 +113,22 @@ def test_batch_transcription_equals_per_sample(trained, clean_cfg, cfg):
     samples = [generate_sample(seed, clean_cfg) for seed in range(90_030, 90_042)]
     windows = [s.x_v for s in samples] + [s.x_m for s in samples]
     batch = transcribe_batch(trained, windows, cfg)
-    single = [greedy_decode(trained, w, cfg) for w in windows]
+    single = [transcribe_batch(trained, [w], cfg)[0] for w in windows]
     assert batch == single
 
 
 def test_longform_single_window_matches_greedy(trained, clean_cfg, cfg):
     s = generate_sample(90_050, clean_cfg)
     assert s.duration_frames <= cfg.window_frames
-    assert longform_decode(trained, s.x_v, cfg) == detokenize(greedy_decode(trained, s.x_v, cfg))
+    assert longform_decode(trained, s.x_v, cfg) == detokenize(transcribe_batch(trained, [s.x_v], cfg)[0])
 
 
 def test_longform_two_windows_is_joined_per_window_decode(trained, clean_cfg, cfg):
     rng = np.random.default_rng(2)
     long = rng.standard_normal((2 * cfg.window_frames, trained.config.feature_dim)) * 0.5
     got = longform_decode(trained, long, cfg)
-    first = detokenize(greedy_decode(trained, long[: cfg.window_frames], cfg))
-    second = detokenize(greedy_decode(trained, long[cfg.window_frames :], cfg))
+    first = detokenize(transcribe_batch(trained, [long[: cfg.window_frames]], cfg)[0])
+    second = detokenize(transcribe_batch(trained, [long[cfg.window_frames :]], cfg)[0])
     assert got == f"{first} {second}"
 
 
@@ -138,9 +152,65 @@ def test_decoding_does_not_mutate_model(trained, clean_cfg, cfg):
     digest = base_digest(trained)
     adapters_before = {k: (ad.a.values.copy(), ad.b.values.copy()) for k, ad in trained.adapters.items()}
     s = generate_sample(90_060, clean_cfg)
-    greedy_decode(trained, s.x_m, cfg)
+    transcribe_batch(trained, [s.x_m], cfg)[0]
     longform_decode(trained, np.tile(s.x_v, (3, 1))[:150], cfg)
     assert base_digest(trained) == digest
     for k, (a, b) in adapters_before.items():
         assert np.array_equal(trained.adapters[k].a.values, a)
         assert np.array_equal(trained.adapters[k].b.values, b)
+
+
+# ---------------------------------------------------------------------------
+# decoding records no autograd graph
+# ---------------------------------------------------------------------------
+
+
+def test_decode_logits_without_graph_equal_recorded_logits(trained, clean_cfg):
+    samples = [generate_sample(seed, clean_cfg) for seed in range(90_070, 90_076)]
+    _, x_m, mask, y_in, _ = pad_batch(samples)
+
+    recorded = decode_batch(trained, encode_batch(trained, x_m, mask, False), mask, y_in, False)
+    with nm.no_grad():
+        free = decode_batch(trained, encode_batch(trained, x_m, mask, False), mask, y_in, False)
+    assert recorded.requires_grad and not free.requires_grad
+    assert np.array_equal(free.values, recorded.values)
+
+
+@pytest.mark.parametrize("phase", [None, "pretrain", "finetune"])
+def test_transcribe_batch_leaves_requires_grad_flags_as_they_were(clean_cfg, cfg, phase):
+    model = build_model(ModelConfig(), seed=7)
+    attach_adapters(model, 4, 4.0, 0.1, seed=8)
+    if phase is not None:
+        set_trainable(model, phase)
+
+    def flags():
+        adapters = (getattr(ad, f) for ad in model.adapters.values() for f in ("a", "b"))
+        return [p.requires_grad for p in model.params.values()] + [t.requires_grad for t in adapters]
+
+    before = flags()
+    s = generate_sample(90_080, clean_cfg)
+    transcribe_batch(model, [s.x_v, s.x_m], cfg)
+    assert flags() == before
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_without_graph_peaks_at_a_quarter_of_recorded_memory(
+    trained, clean_cfg, cfg, monkeypatch
+):
+    samples = [generate_sample(seed, clean_cfg) for seed in range(90_100, 90_133)]
+    windows = ([s.x_v for s in samples] + [s.x_m for s in samples])[:65]
+
+    tokens, free_peak = _traced_peak(lambda: transcribe_batch(trained, windows, cfg))
+    # the same decode with recording left on
+    monkeypatch.setattr(nm, "no_grad", contextlib.nullcontext)
+    recorded_tokens, recorded_peak = _traced_peak(lambda: transcribe_batch(trained, windows, cfg))
+    assert tokens == recorded_tokens
+    assert free_peak <= recorded_peak / 4, (free_peak, recorded_peak)

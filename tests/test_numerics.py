@@ -20,6 +20,7 @@ from voxmix.numerics import (
     mean,
     mul,
     narrow,
+    no_grad,
     relu,
     reshape,
     scale,
@@ -357,3 +358,57 @@ def test_forward_and_backward_stay_finite():
         for leaf in (x, w, g, b):
             assert np.all(np.isfinite(leaf.grad))
         assert np.isfinite(loss.item())
+
+
+# ---------------------------------------------------------------------------
+# graph recording
+# ---------------------------------------------------------------------------
+
+
+def _is_unrecorded(t: Tensor) -> bool:
+    return not t.requires_grad and t._parents == () and t._backward is None
+
+
+def test_op_on_inputs_needing_no_gradient_keeps_no_graph():
+    rng = np.random.default_rng(8)
+    x = rand_tensor(rng, (3, 4), requires_grad=False)
+    w = rand_tensor(rng, (4, 4), requires_grad=False)
+    out = relu(linear(x, w))
+    assert _is_unrecorded(out)
+
+    # one input needing a gradient is enough to record the node
+    w.requires_grad = True
+    recorded = linear(x, w)
+    assert recorded.requires_grad
+    assert recorded._parents == (x, w) and recorded._backward is not None
+
+
+def test_no_grad_records_nothing_even_for_requires_grad_leaves():
+    rng = np.random.default_rng(9)
+    x = rand_tensor(rng, (3, 4))
+    w = rand_tensor(rng, (4, 4))
+    with no_grad():
+        out = mul(linear(x, w), x)
+    assert _is_unrecorded(out)
+    assert x.requires_grad and w.requires_grad
+    # recording is back after the block, and the values never depended on it
+    again = mul(linear(x, w), x)
+    assert again.requires_grad and again._backward is not None
+    assert np.array_equal(again.values, out.values)
+
+
+def test_no_grad_restores_the_previous_state_when_the_block_raises():
+    rng = np.random.default_rng(10)
+    w = rand_tensor(rng, (4, 4))
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert scale(w, 2.0).requires_grad
+
+    with no_grad():
+        with pytest.raises(RuntimeError, match="nested"):
+            with no_grad():
+                raise RuntimeError("nested")
+        # the inner block restored the outer block's state, not recording
+        assert _is_unrecorded(scale(w, 2.0))
+    assert scale(w, 2.0).requires_grad

@@ -14,9 +14,11 @@ from voxmix.model import (
     save_checkpoint,
     share_base,
 )
+from voxmix import training
 from voxmix.numerics import Tensor
 from voxmix.synthdata import GenConfig, build_corpus, split_config
 from voxmix.training import (
+    NonFiniteLossError,
     OptimizerState,
     TrainPlan,
     adam_step,
@@ -364,6 +366,30 @@ def test_nan_abort_does_not_name_a_stale_checkpoint(tiny_corpus, tmp_path):
     assert str(stale) not in str(err.value)
     assert "base.json" not in str(err.value)
     assert stale.read_text() == "{}"
+
+
+def test_nan_abort_keeps_the_partial_log_beside_the_previous_one(tiny_corpus, tmp_path, monkeypatch):
+    calls = []
+
+    def step(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NonFiniteLossError(3, float("nan"))
+        return train_step(*args)
+
+    monkeypatch.setattr(training, "train_step", step)
+    log = tmp_path / "m.jsonl"
+    log.write_text("previous\n")
+    plan = TrainPlan(
+        phase="pretrain", loss=LossConfig(strategy="voc"), peak_lr=3e-3, total_steps=4, batch_size=4
+    )
+    with pytest.raises(RuntimeError, match="non-finite loss") as err:
+        run_experiment(plan, tiny_corpus, build_model(ModelConfig(), seed=2), log)
+    aborted = tmp_path / "m.jsonl.aborted"
+    assert f"the steps before it are logged in {aborted}" in str(err.value)
+    assert log.read_text() == "previous\n"
+    assert [json.loads(line)["step"] for line in aborted.read_text().splitlines()] == [1, 2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "m.jsonl.aborted"]
 
 
 def test_write_to_shared_base_during_finetune_raises(tiny_corpus, tmp_path):
