@@ -3,7 +3,7 @@
 A frozen toy encoder-decoder transcriber is adapted with low-rank
 adapters on synthetic paired vocal/mixture data, under per-domain
 cross-entropy losses optionally tied together by an encoder-consistency
-penalty. Includes training strategies, long-form decoding, and WER
+penalty. Includes training strategies, batched greedy decoding, and WER
 evaluation with per-subset reporting.
 """
 

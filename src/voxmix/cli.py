@@ -4,7 +4,10 @@ decoding, and WER reporting over a strategy x seed grid.
 Subcommands: gen-data, pretrain, finetune, decode, eval, and grid (runs
 everything). A single JSON spec file pins every knob so a rerun
 reproduces all emitted files byte for byte; grid cells are independent
-jobs and may run in parallel worker processes.
+jobs and may run in parallel worker processes. The spec's pretrain and
+finetune plans (`training.PhasePlanSpec`) are checked when the spec is
+built, so a setting training cannot use stops a command before it writes
+anything; each phase then trains on `TrainPlan(phase, loss, plan)`.
 
 An output directory holds corpora/<split>.jsonl, checkpoints/pretrain.json
 (the full pretrained model) with its metrics log, one cells/<id>_s<seed>/
@@ -25,13 +28,13 @@ import json
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from voxmix.decoding import DecodeConfig, transcribe_batch
-from voxmix.evaluation import aggregate, comparison_markdown, report_csv, wer
+from voxmix.evaluation import CONDITIONS, aggregate, comparison_markdown, report_csv, wer
 from voxmix.files import atomic_write
 from voxmix.losses import LossConfig
 from voxmix.model import (
@@ -51,7 +54,7 @@ from voxmix.synthdata import (
     split_config,
     write_corpus,
 )
-from voxmix.training import TrainPlan, run_experiment
+from voxmix.training import PhasePlanSpec, TrainPlan, run_experiment
 
 SPLITS = ("pretrain", "train", "dev", "test")
 PRETRAINED_CELL = "pretrained"
@@ -71,18 +74,6 @@ class LoraSpec:
 
 
 @dataclass
-class PhasePlanSpec:
-    peak_lr: float
-    total_steps: int
-    batch_size: int
-    seed: int = 0
-    warmup_frac: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass
 class ExperimentSpec:
     out_dir: str
     seeds: list[int]
@@ -97,13 +88,15 @@ class ExperimentSpec:
     decode: DecodeConfig
 
     def __post_init__(self):
+        self.pretrain.check("pretrain")
+        self.finetune.check("finetune")
         ids = [c.cell_id for c in self.strategies]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate strategy ids in spec: {ids}")
         if PRETRAINED_CELL in ids:
             raise ValueError(f"strategy id {PRETRAINED_CELL!r} is reserved")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be a non-empty list of distinct ints: {self.seeds}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be a non-empty list of distinct ints >= 0: {self.seeds}")
         if self.pretrain.seed not in self.seeds:
             raise ValueError(
                 f"pretrain seed {self.pretrain.seed} is not in the seeds list {self.seeds}"
@@ -269,20 +262,8 @@ def cmd_pretrain(spec: ExperimentSpec, out: Path) -> None:
     corpus = _load_split(out, "pretrain")
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     model = build_model(spec.model, seed=spec.pretrain.seed)
-    plan = TrainPlan(
-        phase="pretrain",
-        loss=LossConfig(strategy="voc"),
-        peak_lr=spec.pretrain.peak_lr,
-        total_steps=spec.pretrain.total_steps,
-        batch_size=spec.pretrain.batch_size,
-        warmup_frac=spec.pretrain.warmup_frac,
-        beta1=spec.pretrain.beta1,
-        beta2=spec.pretrain.beta2,
-        eps=spec.pretrain.eps,
-        seed=spec.pretrain.seed,
-    )
     run_experiment(
-        plan,
+        TrainPlan("pretrain", LossConfig(strategy="voc"), spec.pretrain),
         corpus,
         model,
         out / "checkpoints" / "pretrain_metrics.jsonl",
@@ -320,22 +301,10 @@ def cmd_finetune(
 
     adapter_seed = int(np.random.SeedSequence([seed, zlib.crc32(cell_id.encode())]).generate_state(1)[0])
     attach_adapters(model, spec.lora.rank, spec.lora.alpha, spec.lora.dropout, seed=adapter_seed)
-    plan = TrainPlan(
-        phase="finetune",
-        loss=cell.loss,
-        peak_lr=spec.finetune.peak_lr,
-        total_steps=spec.finetune.total_steps,
-        batch_size=spec.finetune.batch_size,
-        warmup_frac=spec.finetune.warmup_frac,
-        beta1=spec.finetune.beta1,
-        beta2=spec.finetune.beta2,
-        eps=spec.finetune.eps,
-        seed=seed,
-    )
     cdir = cell_dir(out, cell_id, seed)
     cdir.mkdir(parents=True, exist_ok=True)
     run_experiment(
-        plan,
+        TrainPlan("finetune", cell.loss, replace(spec.finetune, seed=seed)),
         corpus,
         model,
         cdir / "metrics.jsonl",
@@ -348,7 +317,7 @@ def cmd_finetune(
 def _decode_model_to_files(spec: ExperimentSpec, out: Path, cell: str, model, test) -> None:
     tdir = out / "transcripts" / cell
     tdir.mkdir(parents=True, exist_ok=True)
-    for condition in ("mix", "voc"):
+    for condition in CONDITIONS:
         windows = [s.x_m if condition == "mix" else s.x_v for s in test]
         token_rows = transcribe_batch(model, windows, spec.decode)
         with atomic_write(transcript_path(out, cell, condition)) as fh:
@@ -391,7 +360,7 @@ def cmd_decode(
 def _load_transcripts(out: Path, cell: str, refs: dict[str, str]) -> dict[tuple[str, str], str]:
     """A cell's transcripts, exactly one line per test sample and condition."""
     hyps = {}
-    for condition in ("mix", "voc"):
+    for condition in CONDITIONS:
         path = transcript_path(out, cell, condition)
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -421,7 +390,7 @@ def cmd_eval(spec: ExperimentSpec, out: Path) -> None:
     missing = [
         cell
         for cell in all_cells(spec)
-        for cond in ("mix", "voc")
+        for cond in CONDITIONS
         if not transcript_path(out, cell, cond).exists()
     ]
     if missing:

@@ -1,9 +1,9 @@
-"""Autoregressive inference: batched greedy decoding plus long-form
-transcription over fixed non-overlapping windows.
+"""Autoregressive inference: batched greedy decoding of windows of at most
+`window_frames` frames.
 
 `transcribe_batch` is the one inference path: a single window is decoded
-as `transcribe_batch(model, [x], cfg)[0]`, and `longform_decode` batches
-the windows of a long input through it. It runs the eval-mode forward passes inside
+as `transcribe_batch(model, [x], cfg)[0]`. A longer input is the caller's
+to split into windows. It runs the eval-mode forward passes inside
 `numerics.no_grad()`, so decoding records no autograd graph and frees
 each step's intermediates as it goes; the arithmetic, and so every token,
 is the same as with recording on. No parameter's `requires_grad` flag is
@@ -23,7 +23,7 @@ import numpy as np
 
 from voxmix import numerics as nm
 from voxmix.model import TranscriberModel, decode_batch, encode_batch
-from voxmix.synthdata import BOS_ID, EOS_ID, PAD_ID, detokenize
+from voxmix.synthdata import BOS_ID, EOS_ID, PAD_ID
 
 
 @dataclass
@@ -59,17 +59,22 @@ def transcribe_batch(
     if not windows:
         return []
     windows = [np.asarray(w, dtype=np.float64) for w in windows]
+    feature_dim = model.config.feature_dim
     for w in windows:
         if w.ndim != 2:
             raise ValueError(f"expected a (frames, features) window, got shape {w.shape}")
+        if w.shape[1] != feature_dim:
+            raise ValueError(
+                f"window has {w.shape[1]} features per frame; the model takes {feature_dim}"
+            )
         if w.shape[0] > cfg.window_frames:
             raise ValueError(
                 f"{w.shape[0]} frames exceeds window_frames {cfg.window_frames}; "
-                "use longform_decode for longer inputs"
+                f"split longer inputs into windows of at most {cfg.window_frames} frames"
             )
     bsz = len(windows)
     t_max = max(w.shape[0] for w in windows)
-    feats = np.zeros((bsz, t_max, model.config.feature_dim))
+    feats = np.zeros((bsz, t_max, feature_dim))
     mask = np.zeros((bsz, t_max), dtype=bool)
     for i, w in enumerate(windows):
         feats[i, : w.shape[0]] = w
@@ -89,18 +94,3 @@ def transcribe_batch(
             if done.all() or y.shape[1] >= limit:
                 break
     return [[int(t) for t in row if t != PAD_ID] for row in y]
-
-
-def longform_decode(model: TranscriberModel, x_long: np.ndarray, cfg: DecodeConfig) -> str:
-    """Transcribe features of any length by windowed greedy decoding.
-
-    The input is split into consecutive non-overlapping windows (the last
-    may be short); per-window transcripts are joined with single spaces.
-    """
-    x_long = np.asarray(x_long, dtype=np.float64)
-    if x_long.ndim != 2 or x_long.shape[0] < 1:
-        raise ValueError(f"expected a non-empty (frames, features) array, got {x_long.shape}")
-    w = cfg.window_frames
-    windows = [x_long[i : i + w] for i in range(0, x_long.shape[0], w)]
-    texts = [detokenize(tokens) for tokens in transcribe_batch(model, windows, cfg)]
-    return " ".join(texts)

@@ -131,13 +131,13 @@ def comparison_markdown(rows: list[tuple[str, dict[tuple[str, str], float]]], su
     """Markdown table of WER per strategy row, with subset x condition columns."""
     header = ["strategy"]
     for subset in subsets:
-        for condition in ("mix", "voc"):
+        for condition in CONDITIONS:
             header.append(f"{subset} {condition.capitalize()}")
     out = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for name, cells in rows:
         line = [name]
         for subset in subsets:
-            for condition in ("mix", "voc"):
+            for condition in CONDITIONS:
                 value = cells.get((subset, condition))
                 line.append("-" if value is None else f"{value:.4f}")
         out.append("| " + " | ".join(line) + " |")

@@ -7,8 +7,10 @@ adapters attach to the query and value projections of every attention and
 are the only trainable weights during fine-tuning. With all adapter B
 matrices at zero the forward pass is bit-identical to the base model.
 
-Batched entry points (`encode_batch`, `decode_batch`) take padded arrays
-with validity masks; the per-sample operations wrap them with batch size 1.
+The forward pass has two entry points, `encode_batch` and `decode_batch`.
+Both take padded arrays with validity masks; a single sample is a batch of
+one. Every projection goes through `_proj`, which adds a LoRA branch where
+the projection is adapted.
 
 Checkpoints come in two kinds. A full checkpoint holds every base weight
 and any adapters; the pretrained model is saved this way. A model built
@@ -35,7 +37,7 @@ import numpy as np
 from voxmix import numerics as nm
 from voxmix.files import atomic_write
 from voxmix.numerics import Tensor
-from voxmix.synthdata import BOS_ID, VOCAB_SIZE
+from voxmix.synthdata import VOCAB_SIZE
 
 NEG_MASK = -1e30
 
@@ -61,10 +63,6 @@ class ModelConfig:
         if self.max_audio_frames < 1:
             raise ValueError("max_audio_frames must be >= 1")
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.num_heads
-
 
 @dataclass
 class LoraAdapter:
@@ -83,12 +81,6 @@ class LoraAdapter:
     def delta(self) -> np.ndarray:
         """The dense weight update this adapter currently encodes."""
         return self.scaling * (self.b.values @ self.a.values)
-
-
-@dataclass
-class EncoderOutput:
-    e: Tensor  # (T_e, H)
-    frame_mask: np.ndarray  # bool, (T_e,)
 
 
 @dataclass(frozen=True)
@@ -219,30 +211,11 @@ def attach_adapters(
             )
 
 
-def lora_linear(
-    adapter: LoraAdapter,
-    w: Tensor,
-    x: Tensor,
-    train_mode: bool,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """w @ x plus the adapter delta (alpha/rank) * B @ (A @ drop(x)).
-
-    Dropout applies to the adapter input branch only, and only in train mode,
-    so the base path stays deterministic.
-    """
-    base = nm.linear(x, w)
-    branch = x
-    if train_mode and adapter.dropout > 0.0:
-        if rng is None:
-            raise ValueError("train-mode lora_linear with dropout needs an rng")
-        branch = nm.dropout(branch, adapter.dropout, rng)
-    delta = nm.linear(nm.linear(branch, adapter.a), adapter.b)
-    return nm.add(base, nm.scale(delta, adapter.scaling))
-
-
 def _proj(model, prefix, matrix, x, train_mode, rng):
-    """Base projection plus the LoRA branch when this matrix is adapted."""
+    """x @ wᵀ + b, plus (alpha/rank) * B @ (A @ drop(x)) when this matrix is adapted.
+
+    Dropout applies to the adapter branch only, and only in train mode.
+    """
     w = model.params[f"{prefix}.{matrix}"]
     b = model.params[f"{prefix}.b{matrix[1]}"]
     out = nm.linear(x, w, b)
@@ -295,7 +268,7 @@ def encode_batch(
     if t_a > cfg.max_audio_frames:
         raise ValueError(
             f"{t_a} frames exceeds max_audio_frames={cfg.max_audio_frames}; "
-            "split long inputs into windows (see the decoding module)"
+            f"split longer inputs into windows of at most {cfg.max_audio_frames} frames"
         )
     if f != cfg.feature_dim:
         raise ValueError(f"feature dim {f} does not match model feature_dim {cfg.feature_dim}")
@@ -312,24 +285,6 @@ def encode_batch(
         m = _ln(model, f"{prefix}.ln2", h)
         h = nm.add(h, _mlp(model, prefix, m))
     return _ln(model, "enc.ln_out", h)
-
-
-def encode(
-    model: TranscriberModel,
-    x: np.ndarray,
-    train_mode: bool,
-    rng: np.random.Generator | None = None,
-) -> EncoderOutput:
-    """Encode one sample (T_a, F) to EncoderOutput with E of shape (T_a, H)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"encode expects a (frames, features) array, got shape {x.shape}")
-    t_a = x.shape[0]
-    e = encode_batch(model, x[None, :, :], np.ones((1, t_a), dtype=bool), train_mode, rng)
-    return EncoderOutput(
-        e=nm.reshape(e, (t_a, model.config.hidden_dim)),
-        frame_mask=np.ones(t_a, dtype=bool),
-    )
 
 
 def decode_batch(
@@ -365,23 +320,6 @@ def decode_batch(
         h = nm.add(h, _mlp(model, prefix, m))
     h = _ln(model, "dec.ln_out", h)
     return nm.linear(h, model.params["dec.out.w"], model.params["dec.out.b"])
-
-
-def decoder_forward(
-    model: TranscriberModel,
-    enc: EncoderOutput,
-    y_in,
-    train_mode: bool,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Logits (L, V) for one token prefix; position t sees only y_in[0..t] and E."""
-    y = np.asarray(y_in, dtype=np.int64)
-    if y.ndim != 1 or y.size == 0 or y[0] != BOS_ID:
-        raise ValueError(f"y_in must be a 1-d token sequence starting with BOS, got {y_in!r}")
-    t_e = enc.e.values.shape[0]
-    e_b = nm.reshape(enc.e, (1, t_e, model.config.hidden_dim))
-    logits = decode_batch(model, e_b, enc.frame_mask[None, :], y[None, :], train_mode, rng)
-    return nm.reshape(logits, (y.size, model.config.vocab_size))
 
 
 def trainable_parameters(model: TranscriberModel, phase: str) -> list[Tensor]:

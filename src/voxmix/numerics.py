@@ -17,9 +17,20 @@ differences.
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 
 import numpy as np
+
+# glibc moves its mmap and trim thresholds with the heap's history, so whether a
+# forward pass's multi-megabyte arrays reuse resident heap or fault in fresh
+# pages (thousands per batch decode) would vary from process to process. Fixed
+# thresholds keep freed arrays resident for reuse, whatever ran before.
+try:
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap up to 32 MiB
+    ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep 64 MiB free
+except (AttributeError, OSError, TypeError):  # no glibc mallopt
+    pass
 
 __all__ = [
     "Tensor",
@@ -74,28 +85,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         kind = "leaf" if self._backward is None else "node"
         return f"Tensor(shape={self.values.shape}, {kind}, requires_grad={self.requires_grad})"
-
-    # operator sugar over the module-level ops
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
 
 # whether ops record the graph; no_grad() clears it for the length of a block

@@ -2,12 +2,14 @@
 schedule, input-selection strategies over paired samples, and the
 per-step combined loss.
 
-Strategies: voc / mix / random train on a single domain per sample;
-both and cns run the paired vocal and mixture inputs through the shared
-model (stacked into one batch for speed) and average the two
-transcription losses, with cns adding the weighted encoder-consistency
-term. One backward pass on the combined loss per step, then one Adam
-update of that phase's trainable parameters.
+A step trains on (sample, domain) rows: voc, mix and random pick one
+domain per sample, both and cns take the vocal and the mixture row of
+every sample. The rows go through the shared model in one padded batch,
+vocal rows first, and the strategy combines the per-domain losses: the
+single loss for voc and mix, token weighting for random when a batch holds
+both domains, and the mean of the two for both and cns, with cns adding
+the weighted encoder-consistency term. One backward pass on the combined
+loss per step, then one Adam update of that phase's trainable parameters.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,51 +39,51 @@ class NonFiniteLossError(RuntimeError):
 
 
 @dataclass
-class TrainPlan:
-    phase: str
-    loss: LossConfig
+class PhasePlanSpec:
+    """The optimisation settings of one training phase."""
+
     peak_lr: float
     total_steps: int
-    batch_size: int = 8
+    batch_size: int
+    seed: int = 0
     warmup_frac: float = 0.1
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    seed: int = 0
+
+    def check(self, phase: str) -> None:
+        """Raise a ValueError naming the phase and the field of a setting training cannot use."""
+        rules = (
+            ("total_steps", self.total_steps >= 2, ">= 2"),
+            ("warmup_frac", 0 < self.warmup_frac < 1, "in (0, 1)"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("peak_lr", self.peak_lr > 0, "> 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("eps", self.eps > 0, "> 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+        )
+        for name, ok, want in rules:
+            if not ok:
+                raise ValueError(f"{phase} plan: {name} must be {want}, got {getattr(self, name)!r}")
+
+
+@dataclass
+class TrainPlan:
+    """One training phase: its trainable parameters, its loss and its settings."""
+
+    phase: str
+    loss: LossConfig
+    settings: PhasePlanSpec
 
     def __post_init__(self):
         if self.phase not in PHASES:
             raise ValueError(f"unknown phase {self.phase!r}, expected one of {PHASES}")
-        if not 0 < self.warmup_frac < 1:
-            raise ValueError(f"warmup_frac must be in (0, 1), got {self.warmup_frac}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.total_steps < 2:
-            raise ValueError(f"total_steps must be >= 2, got {self.total_steps}")
-
-    def to_json(self) -> str:
-        doc = asdict(self)
-        doc["loss"] = asdict(self.loss)
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainPlan":
-        doc = json.loads(text)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown TrainPlan fields: {sorted(unknown)}")
-        loss_doc = doc.pop("loss", {})
-        loss_unknown = set(loss_doc) - set(LossConfig.__dataclass_fields__)
-        if loss_unknown:
-            raise ValueError(f"unknown LossConfig fields: {sorted(loss_unknown)}")
-        return cls(loss=LossConfig(**loss_doc), **doc)
+        self.settings.check(self.phase)
 
 
 def make_schedule(total_steps: int, peak_lr: float, warmup_frac: float = 0.1):
     """Linear warmup to peak at step W = ceil(warmup_frac * T), linear decay to 0 at T."""
-    if total_steps < 2:
-        raise ValueError(f"total_steps must be >= 2, got {total_steps}")
     warmup = math.ceil(warmup_frac * total_steps)
 
     def lr_at(step: int) -> float:
@@ -161,27 +163,26 @@ def select_inputs(strategy: str, sample: PairedSample, rng: np.random.Generator)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def pad_batch(samples: list[PairedSample]):
-    """Stack variable-length samples into padded arrays plus validity masks."""
-    bsz = len(samples)
-    t_max = max(s.duration_frames for s in samples)
-    l_max = max(len(s.tokens) - 1 for s in samples)
-    feat = samples[0].x_v.shape[1]
+def pad_batch(rows: list[tuple[PairedSample, str]]):
+    """Stack (sample, domain) rows into padded features (B, T, F), a validity
+    mask (B, T) and teacher-forcing inputs and targets (B, L)."""
+    bsz = len(rows)
+    t_max = max(s.duration_frames for s, _ in rows)
+    l_max = max(len(s.tokens) - 1 for s, _ in rows)
+    feat = rows[0][0].x_v.shape[1]
 
-    x_v = np.zeros((bsz, t_max, feat))
-    x_m = np.zeros((bsz, t_max, feat))
+    x = np.zeros((bsz, t_max, feat))
     frame_mask = np.zeros((bsz, t_max), dtype=bool)
     y_in = np.full((bsz, l_max), PAD_ID, dtype=np.int64)
     y_out = np.full((bsz, l_max), PAD_ID, dtype=np.int64)
-    for i, s in enumerate(samples):
+    for i, (s, domain) in enumerate(rows):
         t = s.duration_frames
-        x_v[i, :t] = s.x_v
-        x_m[i, :t] = s.x_m
+        x[i, :t] = s.x_v if domain == "v" else s.x_m
         frame_mask[i, :t] = True
         toks = np.asarray(s.tokens, dtype=np.int64)
         y_in[i, : toks.size - 1] = toks[:-1]
         y_out[i, : toks.size - 1] = toks[1:]
-    return x_v, x_m, frame_mask, y_in, y_out
+    return x, frame_mask, y_in, y_out
 
 
 @dataclass
@@ -190,7 +191,6 @@ class TrainMetrics:
     lr: float
     breakdown: LossBreakdown
     wall_time: float
-    avg_total: float
 
 
 @dataclass
@@ -201,77 +201,50 @@ class TrainState:
     domain_rng: np.random.Generator
     dropout_rng: np.random.Generator
     step: int = 0
-    total_seen: float = 0.0
 
 
 def make_train_state(model: TranscriberModel, plan: TrainPlan) -> TrainState:
     if plan.phase == "finetune" and not model.adapters:
         raise ValueError("finetune phase needs a model with adapters attached")
     params = set_trainable(model, plan.phase)
-    seqs = np.random.SeedSequence(plan.seed).spawn(3)
+    settings = plan.settings
+    seqs = np.random.SeedSequence(settings.seed).spawn(3)
     return TrainState(
         params=params,
         optimizer=init_optimizer(params),
-        schedule=make_schedule(plan.total_steps, plan.peak_lr, plan.warmup_frac),
+        schedule=make_schedule(settings.total_steps, settings.peak_lr, settings.warmup_frac),
         domain_rng=np.random.default_rng(seqs[1]),
         dropout_rng=np.random.default_rng(seqs[2]),
     )
 
 
 def data_rng_for(plan: TrainPlan) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(plan.seed).spawn(3)[0])
+    return np.random.default_rng(np.random.SeedSequence(plan.settings.seed).spawn(3)[0])
 
 
-def _dual_losses(model, samples, plan, state):
-    """One stacked forward over [vocal | mixture] halves of the paired batch."""
-    bsz = len(samples)
-    x_v, x_m, frame_mask, y_in, y_out = pad_batch(samples)
-    x2 = np.concatenate([x_v, x_m], axis=0)
-    mask2 = np.concatenate([frame_mask, frame_mask], axis=0)
-    yin2 = np.concatenate([y_in, y_in], axis=0)
+def _losses(model, samples, plan, state):
+    """One forward over the step's (sample, domain) rows, vocal rows first."""
+    strategy = plan.loss.strategy
+    picks = [(s, tag) for s in samples for tag, _ in select_inputs(strategy, s, state.domain_rng)]
+    rows = sorted(picks, key=lambda row: row[1] != "v")  # stable: sample order within a domain
+    n, n_v = len(rows), sum(tag == "v" for _, tag in rows)
 
-    enc = encode_batch(model, x2, mask2, True, state.dropout_rng)
-    logits = decode_batch(model, enc, mask2, yin2, True, state.dropout_rng)
-    l_v = alt_loss(nm.narrow(logits, 0, bsz), y_out)
-    l_m = alt_loss(nm.narrow(logits, bsz, 2 * bsz), y_out)
-
-    if plan.loss.strategy == "cns":
-        e_v = nm.narrow(enc, 0, bsz)
-        e_m = nm.narrow(enc, bsz, 2 * bsz)
-        l_cns = consistency_loss(e_v, e_m, plan.loss.cns_kind, frame_mask)
-        weight = plan.loss.weight
-    else:
-        l_cns = Tensor(0.0)
-        weight = 0.0
-    total = combined_loss(l_v, l_m, l_cns, weight)
-    breakdown = LossBreakdown(
-        l_alt_v=l_v.item(),
-        l_alt_m=l_m.item(),
-        l_cns=l_cns.item() if plan.loss.strategy == "cns" else None,
-        l_total=total.item(),
-    )
-    return total, breakdown
-
-
-def _single_domain_losses(model, samples, plan, state):
-    """Forward over per-sample selected domains, grouped as [vocal | mixture]."""
-    picks = [select_inputs(plan.loss.strategy, s, state.domain_rng)[0] for s in samples]
-    v_idx = [i for i, (tag, _) in enumerate(picks) if tag == "v"]
-    m_idx = [i for i, (tag, _) in enumerate(picks) if tag == "m"]
-    ordered = [samples[i] for i in v_idx] + [samples[i] for i in m_idx]
-    n_v = len(v_idx)
-
-    x_v, x_m, frame_mask, y_in, y_out = pad_batch(ordered)
-    x = np.concatenate([x_v[:n_v], x_m[n_v:]], axis=0)
+    x, frame_mask, y_in, y_out = pad_batch(rows)
     enc = encode_batch(model, x, frame_mask, True, state.dropout_rng)
     logits = decode_batch(model, enc, frame_mask, y_in, True, state.dropout_rng)
-
-    tokens_v = int((y_out[:n_v] != PAD_ID).sum())
-    tokens_m = int((y_out[n_v:] != PAD_ID).sum())
     l_v = alt_loss(nm.narrow(logits, 0, n_v), y_out[:n_v]) if n_v else None
-    l_m = alt_loss(nm.narrow(logits, n_v, len(ordered)), y_out[n_v:]) if n_v < len(ordered) else None
+    l_m = alt_loss(nm.narrow(logits, n_v, n), y_out[n_v:]) if n_v < n else None
 
-    if l_v is not None and l_m is not None:
+    l_cns = None
+    if strategy == "cns":
+        e_v, e_m = nm.narrow(enc, 0, n_v), nm.narrow(enc, n_v, n)
+        l_cns = consistency_loss(e_v, e_m, plan.loss.cns_kind, frame_mask[:n_v])
+        total = combined_loss(l_v, l_m, l_cns, plan.loss.weight)
+    elif strategy == "both":
+        total = combined_loss(l_v, l_m, Tensor(0.0), 0.0)
+    elif l_v is not None and l_m is not None:
+        tokens_v = int((y_out[:n_v] != PAD_ID).sum())
+        tokens_m = int((y_out[n_v:] != PAD_ID).sum())
         total_tokens = tokens_v + tokens_m
         total = nm.add(
             nm.scale(l_v, tokens_v / total_tokens), nm.scale(l_m, tokens_m / total_tokens)
@@ -281,7 +254,7 @@ def _single_domain_losses(model, samples, plan, state):
     breakdown = LossBreakdown(
         l_alt_v=l_v.item() if l_v is not None else None,
         l_alt_m=l_m.item() if l_m is not None else None,
-        l_cns=None,
+        l_cns=l_cns.item() if l_cns is not None else None,
         l_total=total.item(),
     )
     return total, breakdown
@@ -299,32 +272,22 @@ def train_step(
     lr = state.schedule(step)
 
     zero_grads(state.params)
-    if plan.loss.strategy in ("both", "cns"):
-        total, breakdown = _dual_losses(model, batch, plan, state)
-    else:
-        total, breakdown = _single_domain_losses(model, batch, plan, state)
-
+    total, breakdown = _losses(model, batch, plan, state)
     if not np.isfinite(breakdown.l_total):
         raise NonFiniteLossError(step, breakdown.l_total)
     backward(total)
+    settings = plan.settings
     adam_step(
         state.params,
         [p.grad for p in state.params],
         state.optimizer,
         lr,
-        plan.beta1,
-        plan.beta2,
-        plan.eps,
+        settings.beta1,
+        settings.beta2,
+        settings.eps,
     )
     state.step = step
-    state.total_seen += breakdown.l_total
-    return TrainMetrics(
-        step=step,
-        lr=lr,
-        breakdown=breakdown,
-        wall_time=time.perf_counter() - t0,
-        avg_total=state.total_seen / step,
-    )
+    return TrainMetrics(step=step, lr=lr, breakdown=breakdown, wall_time=time.perf_counter() - t0)
 
 
 def _batches(corpus, batch_size, rng):
@@ -370,11 +333,11 @@ def run_experiment(
     if not corpus:
         raise ValueError("empty corpus")
     state = make_train_state(model, plan)
-    batches = _batches(corpus, plan.batch_size, data_rng_for(plan))
+    batches = _batches(corpus, plan.settings.batch_size, data_rng_for(plan))
     history = []
     aborted = f"{os.fspath(metrics_path)}.aborted"
     with atomic_write(metrics_path, partial=aborted) as fh:
-        for _ in range(plan.total_steps):
+        for _ in range(plan.settings.total_steps):
             try:
                 metrics = train_step(model, next(batches), plan, state)
             except NonFiniteLossError as err:
@@ -386,5 +349,5 @@ def run_experiment(
             history.append(metrics)
             fh.write(json.dumps(metrics_record(metrics), sort_keys=True) + "\n")
     if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path, seed_lineage or {"plan_seed": plan.seed})
+        save_checkpoint(model, checkpoint_path, seed_lineage or {"plan_seed": plan.settings.seed})
     return history

@@ -1,0 +1,123 @@
+"""The two loss paths that training used before it built every strategy's
+loss in one forward over (sample, domain) rows, kept as a reference.
+
+`_dual_losses` stacked the vocal and mixture halves of a paired batch for
+both and cns; `_single_domain_losses` ran the per-sample picks of voc, mix
+and random. `reference_step` is a train step over them. Tests compare the
+one path of `training.train_step` against it bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from voxmix import numerics as nm
+from voxmix.losses import LossBreakdown, alt_loss, combined_loss, consistency_loss
+from voxmix.model import decode_batch, encode_batch
+from voxmix.numerics import Tensor, backward, zero_grads
+from voxmix.synthdata import PAD_ID
+from voxmix.training import adam_step, select_inputs
+
+
+def _pad_pairs(samples):
+    """Both domains of each sample, padded, with one mask and token layout."""
+    bsz = len(samples)
+    t_max = max(s.duration_frames for s in samples)
+    l_max = max(len(s.tokens) - 1 for s in samples)
+    feat = samples[0].x_v.shape[1]
+
+    x_v = np.zeros((bsz, t_max, feat))
+    x_m = np.zeros((bsz, t_max, feat))
+    frame_mask = np.zeros((bsz, t_max), dtype=bool)
+    y_in = np.full((bsz, l_max), PAD_ID, dtype=np.int64)
+    y_out = np.full((bsz, l_max), PAD_ID, dtype=np.int64)
+    for i, s in enumerate(samples):
+        t = s.duration_frames
+        x_v[i, :t] = s.x_v
+        x_m[i, :t] = s.x_m
+        frame_mask[i, :t] = True
+        toks = np.asarray(s.tokens, dtype=np.int64)
+        y_in[i, : toks.size - 1] = toks[:-1]
+        y_out[i, : toks.size - 1] = toks[1:]
+    return x_v, x_m, frame_mask, y_in, y_out
+
+
+def _dual_losses(model, samples, plan, state):
+    """One stacked forward over [vocal | mixture] halves of the paired batch."""
+    bsz = len(samples)
+    x_v, x_m, frame_mask, y_in, y_out = _pad_pairs(samples)
+    x2 = np.concatenate([x_v, x_m], axis=0)
+    mask2 = np.concatenate([frame_mask, frame_mask], axis=0)
+    yin2 = np.concatenate([y_in, y_in], axis=0)
+
+    enc = encode_batch(model, x2, mask2, True, state.dropout_rng)
+    logits = decode_batch(model, enc, mask2, yin2, True, state.dropout_rng)
+    l_v = alt_loss(nm.narrow(logits, 0, bsz), y_out)
+    l_m = alt_loss(nm.narrow(logits, bsz, 2 * bsz), y_out)
+
+    if plan.loss.strategy == "cns":
+        e_v = nm.narrow(enc, 0, bsz)
+        e_m = nm.narrow(enc, bsz, 2 * bsz)
+        l_cns = consistency_loss(e_v, e_m, plan.loss.cns_kind, frame_mask)
+        weight = plan.loss.weight
+    else:
+        l_cns = Tensor(0.0)
+        weight = 0.0
+    total = combined_loss(l_v, l_m, l_cns, weight)
+    breakdown = LossBreakdown(
+        l_alt_v=l_v.item(),
+        l_alt_m=l_m.item(),
+        l_cns=l_cns.item() if plan.loss.strategy == "cns" else None,
+        l_total=total.item(),
+    )
+    return total, breakdown
+
+
+def _single_domain_losses(model, samples, plan, state):
+    """Forward over per-sample selected domains, grouped as [vocal | mixture]."""
+    picks = [select_inputs(plan.loss.strategy, s, state.domain_rng)[0] for s in samples]
+    v_idx = [i for i, (tag, _) in enumerate(picks) if tag == "v"]
+    m_idx = [i for i, (tag, _) in enumerate(picks) if tag == "m"]
+    ordered = [samples[i] for i in v_idx] + [samples[i] for i in m_idx]
+    n_v = len(v_idx)
+
+    x_v, x_m, frame_mask, y_in, y_out = _pad_pairs(ordered)
+    x = np.concatenate([x_v[:n_v], x_m[n_v:]], axis=0)
+    enc = encode_batch(model, x, frame_mask, True, state.dropout_rng)
+    logits = decode_batch(model, enc, frame_mask, y_in, True, state.dropout_rng)
+
+    tokens_v = int((y_out[:n_v] != PAD_ID).sum())
+    tokens_m = int((y_out[n_v:] != PAD_ID).sum())
+    l_v = alt_loss(nm.narrow(logits, 0, n_v), y_out[:n_v]) if n_v else None
+    l_m = alt_loss(nm.narrow(logits, n_v, len(ordered)), y_out[n_v:]) if n_v < len(ordered) else None
+
+    if l_v is not None and l_m is not None:
+        total_tokens = tokens_v + tokens_m
+        total = nm.add(
+            nm.scale(l_v, tokens_v / total_tokens), nm.scale(l_m, tokens_m / total_tokens)
+        )
+    else:
+        total = l_v if l_v is not None else l_m
+    breakdown = LossBreakdown(
+        l_alt_v=l_v.item() if l_v is not None else None,
+        l_alt_m=l_m.item() if l_m is not None else None,
+        l_cns=None,
+        l_total=total.item(),
+    )
+    return total, breakdown
+
+
+def reference_step(model, batch, plan, state) -> LossBreakdown:
+    """A train step over the two reference paths; leaves the gradients in place."""
+    step = state.step + 1
+    zero_grads(state.params)
+    if plan.loss.strategy in ("both", "cns"):
+        total, breakdown = _dual_losses(model, batch, plan, state)
+    else:
+        total, breakdown = _single_domain_losses(model, batch, plan, state)
+    backward(total)
+    s = plan.settings
+    adam_step(state.params, [p.grad for p in state.params], state.optimizer,
+              state.schedule(step), s.beta1, s.beta2, s.eps)
+    state.step = step
+    return breakdown

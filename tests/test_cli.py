@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,14 @@ def test_spec_rejects_unknown_fields(tmp_path):
     doc2["model"]["layers"] = 3
     with pytest.raises(ValueError, match="layers"):
         spec_from_doc(doc2)
+    doc3 = spec_to_doc(micro_spec("x"))
+    doc3["finetune"]["momentum"] = 0.9
+    with pytest.raises(ValueError, match="momentum"):
+        spec_from_doc(doc3)
+    doc4 = spec_to_doc(micro_spec("x"))
+    doc4["strategies"][1]["temperature"] = 1.0
+    with pytest.raises(ValueError, match="temperature"):
+        spec_from_doc(doc4)
 
 
 def test_spec_rejects_duplicate_strategy_ids(tmp_path):
@@ -92,6 +101,52 @@ def test_spec_rejects_duplicate_strategy_ids(tmp_path):
                 "strategies": [spec.strategies[0], spec.strategies[0]],
             }
         )
+
+
+# one setting per plan field that training cannot use
+BAD_PLAN_SETTINGS = [
+    ("total_steps", 1),
+    ("warmup_frac", 1.0),
+    ("batch_size", 0),
+    ("peak_lr", -1.0),
+    ("beta1", 1.0),
+    ("beta2", 1.0),
+    ("eps", 0.0),
+    ("seed", -1),
+]
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+@pytest.mark.parametrize("field, value", BAD_PLAN_SETTINGS)
+def test_spec_refuses_a_bad_plan_setting(phase, field, value):
+    spec = micro_spec("x")
+    plan = replace(getattr(spec, phase), **{field: value})
+    with pytest.raises(ValueError, match=rf"{phase} plan: {field} must be .*, got {value!r}"):
+        replace(spec, **{phase: plan})
+
+
+def test_spec_accepts_plan_settings_at_their_bounds():
+    spec = micro_spec("x")
+    edge = {"total_steps": 2, "warmup_frac": 0.01, "batch_size": 1, "peak_lr": 1e-12,
+            "beta1": 0.0, "beta2": 0.0, "eps": 1e-300, "seed": 0}
+    replace(spec, pretrain=replace(spec.pretrain, **edge), finetune=replace(spec.finetune, **edge))
+
+
+def test_grid_with_a_bad_finetune_plan_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    doc = spec_to_doc(micro_spec(str(out)))
+    doc["finetune"]["total_steps"] = 1
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="finetune plan: total_steps must be >= 2, got 1"):
+        main(["grid", "--spec", str(spec_path)])
+    assert not (out / "corpora").exists()
+    assert not out.exists()
+
+
+def test_spec_refuses_negative_seeds():
+    with pytest.raises(ValueError, match="seeds must be"):
+        replace(micro_spec("x"), seeds=[0, -1])
 
 
 def test_gen_data_is_deterministic_and_split_disjoint(tmp_path):

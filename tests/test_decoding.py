@@ -1,11 +1,15 @@
 import contextlib
+import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from voxmix import numerics as nm
-from voxmix.decoding import DecodeConfig, longform_decode, transcribe_batch
+from voxmix.decoding import DecodeConfig, transcribe_batch
 from voxmix.losses import LossConfig
 from voxmix.model import (
     ModelConfig,
@@ -17,7 +21,6 @@ from voxmix.model import (
     set_trainable,
 )
 from voxmix.synthdata import (
-    ALPHABET,
     BOS_ID,
     EOS_ID,
     GenConfig,
@@ -26,7 +29,7 @@ from voxmix.synthdata import (
     generate_sample,
     split_config,
 )
-from voxmix.training import TrainPlan, pad_batch, run_experiment
+from voxmix.training import PhasePlanSpec, TrainPlan, pad_batch, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +44,14 @@ def trained(clean_cfg, tmp_path_factory):
     corpus = build_corpus(clean_cfg, songs_per_language=64, seed_base=0)
     model = build_model(ModelConfig(), seed=0)
     run_experiment(
-        TrainPlan(phase="pretrain", loss=LossConfig(strategy="voc"), peak_lr=3e-3,
-                  total_steps=700, batch_size=8, seed=1),
+        TrainPlan("pretrain", LossConfig(strategy="voc"),
+                  PhasePlanSpec(peak_lr=3e-3, total_steps=700, batch_size=8, seed=1)),
         corpus, model, tmp / "pre.jsonl",
     )
     attach_adapters(model, 4, 4.0, 0.1, seed=2)
     run_experiment(
-        TrainPlan(phase="finetune", loss=LossConfig(strategy="voc"), peak_lr=1e-3,
-                  total_steps=200, batch_size=8, seed=3),
+        TrainPlan("finetune", LossConfig(strategy="voc"),
+                  PhasePlanSpec(peak_lr=1e-3, total_steps=200, batch_size=8, seed=3)),
         corpus, model, tmp / "ft.jsonl",
     )
     return model
@@ -75,7 +78,7 @@ def test_greedy_decode_deterministic(trained, clean_cfg, cfg):
 
 def test_greedy_decode_respects_window_limit(trained, cfg):
     x = np.zeros((cfg.window_frames + 1, trained.config.feature_dim))
-    with pytest.raises(ValueError, match="longform"):
+    with pytest.raises(ValueError, match=f"split longer inputs into windows of at most {cfg.window_frames}"):
         transcribe_batch(trained, [x], cfg)[0]
 
 
@@ -84,6 +87,12 @@ def test_transcribe_batch_rejects_non_2d_window(trained, cfg):
         transcribe_batch(trained, [np.zeros(trained.config.feature_dim)], cfg)[0]
     with pytest.raises(ValueError, match="frames, features"):
         transcribe_batch(trained, [np.zeros((1, 8, trained.config.feature_dim))], cfg)[0]
+
+
+def test_transcribe_batch_rejects_wrong_feature_count(trained, cfg):
+    dim = trained.config.feature_dim
+    with pytest.raises(ValueError, match=f"{dim // 2} features per frame; the model takes {dim}"):
+        transcribe_batch(trained, [np.zeros((5, dim)), np.zeros((5, dim // 2))], cfg)
 
 
 def test_greedy_decode_caps_output_length(cfg):
@@ -117,43 +126,12 @@ def test_batch_transcription_equals_per_sample(trained, clean_cfg, cfg):
     assert batch == single
 
 
-def test_longform_single_window_matches_greedy(trained, clean_cfg, cfg):
-    s = generate_sample(90_050, clean_cfg)
-    assert s.duration_frames <= cfg.window_frames
-    assert longform_decode(trained, s.x_v, cfg) == detokenize(transcribe_batch(trained, [s.x_v], cfg)[0])
-
-
-def test_longform_two_windows_is_joined_per_window_decode(trained, clean_cfg, cfg):
-    rng = np.random.default_rng(2)
-    long = rng.standard_normal((2 * cfg.window_frames, trained.config.feature_dim)) * 0.5
-    got = longform_decode(trained, long, cfg)
-    first = detokenize(transcribe_batch(trained, [long[: cfg.window_frames]], cfg)[0])
-    second = detokenize(transcribe_batch(trained, [long[cfg.window_frames :]], cfg)[0])
-    assert got == f"{first} {second}"
-
-
-def test_longform_partition_covers_every_frame(cfg):
-    for total in (1, 63, 64, 65, 130, 200):
-        w = cfg.window_frames
-        bounds = [(i, min(i + w, total)) for i in range(0, total, w)]
-        assert bounds[0][0] == 0 and bounds[-1][1] == total
-        assert all(b == c for (_, b), (c, _) in zip(bounds, bounds[1:]))
-        assert sum(b - a for a, b in bounds) == total
-
-
-def test_longform_output_alphabet(trained, clean_cfg, cfg):
-    rng = np.random.default_rng(3)
-    long = rng.standard_normal((150, trained.config.feature_dim))
-    text = longform_decode(trained, long, cfg)
-    assert set(text) <= set(ALPHABET)
-
-
 def test_decoding_does_not_mutate_model(trained, clean_cfg, cfg):
     digest = base_digest(trained)
     adapters_before = {k: (ad.a.values.copy(), ad.b.values.copy()) for k, ad in trained.adapters.items()}
     s = generate_sample(90_060, clean_cfg)
     transcribe_batch(trained, [s.x_m], cfg)[0]
-    longform_decode(trained, np.tile(s.x_v, (3, 1))[:150], cfg)
+    transcribe_batch(trained, [s.x_v, s.x_m, s.x_v[: s.duration_frames // 2]], cfg)
     assert base_digest(trained) == digest
     for k, (a, b) in adapters_before.items():
         assert np.array_equal(trained.adapters[k].a.values, a)
@@ -167,7 +145,7 @@ def test_decoding_does_not_mutate_model(trained, clean_cfg, cfg):
 
 def test_decode_logits_without_graph_equal_recorded_logits(trained, clean_cfg):
     samples = [generate_sample(seed, clean_cfg) for seed in range(90_070, 90_076)]
-    _, x_m, mask, y_in, _ = pad_batch(samples)
+    x_m, mask, y_in, _ = pad_batch([(s, "m") for s in samples])
 
     recorded = decode_batch(trained, encode_batch(trained, x_m, mask, False), mask, y_in, False)
     with nm.no_grad():
@@ -214,3 +192,34 @@ def test_decode_without_graph_peaks_at_a_quarter_of_recorded_memory(
     recorded_tokens, recorded_peak = _traced_peak(lambda: transcribe_batch(trained, windows, cfg))
     assert tokens == recorded_tokens
     assert free_peak <= recorded_peak / 4, (free_peak, recorded_peak)
+
+
+# A fresh interpreter, so that no earlier test has shaped the heap.
+REPEATED_DECODE = """
+import json, resource, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from voxmix.decoding import DecodeConfig, transcribe_batch
+from voxmix.model import ModelConfig, build_model
+model = build_model(ModelConfig(), seed=0)
+rng = np.random.default_rng(0)
+windows = [rng.standard_normal((64, 16)) for _ in range(65)]
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    transcribe_batch(model, windows, DecodeConfig(max_tokens=4, window_frames=64))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="page-fault counts are Linux's")
+def test_repeated_batch_decode_reuses_resident_memory():
+    # with glibc's moving thresholds, each 65-window decode after the first
+    # faulted in thousands of fresh pages
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", REPEATED_DECODE.format(src=src)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    first, *later = json.loads(done.stdout)
+    assert first > 0 and max(later) < 100, (first, later)

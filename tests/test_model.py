@@ -7,18 +7,16 @@ import pytest
 
 from voxmix import numerics as nm
 from voxmix.model import (
-    EncoderOutput,
     LoraAdapter,
     ModelConfig,
     TranscriberModel,
+    _proj,
     attach_adapters,
     base_digest,
     build_model,
-    decoder_forward,
-    encode,
+    decode_batch,
     encode_batch,
     load_checkpoint,
-    lora_linear,
     save_checkpoint,
     share_base,
     trainable_parameters,
@@ -53,87 +51,90 @@ def test_config_validates_head_split():
         ModelConfig(hidden_dim=30, num_heads=4)
 
 
+def encode_one(model, x, train_mode, rng=None):
+    """encode_batch over one unpadded sample: (1, T, H)."""
+    return encode_batch(model, x[None], np.ones((1, x.shape[0]), dtype=bool), train_mode, rng)
+
+
+def decode_one(model, enc, y_in, train_mode, rng=None):
+    """decode_batch over one token prefix against one encoding: (1, L, V)."""
+    mask = np.ones(enc.values.shape[:2], dtype=bool)
+    return decode_batch(model, enc, mask, np.asarray([y_in], dtype=np.int64), train_mode, rng)
+
+
 def test_encode_shape_contract(base_model, config):
     rng = np.random.default_rng(0)
-    out = encode(base_model, random_features(rng, 12, config), train_mode=False)
-    assert out.e.values.shape == (12, config.hidden_dim)
-    assert out.frame_mask.shape == (12,)
-    assert out.frame_mask.all()
+    x = rng.standard_normal((3, 12, config.feature_dim))
+    mask = np.ones((3, 12), dtype=bool)
+    mask[1, 7:] = False
+    out = encode_batch(base_model, x, mask, train_mode=False)
+    assert out.values.shape == (3, 12, config.hidden_dim)
 
 
 def test_encode_deterministic_in_eval_mode(base_model, config):
     rng = np.random.default_rng(1)
     x = random_features(rng, 9, config)
-    a = encode(base_model, x, train_mode=False).e.values
-    b = encode(base_model, x, train_mode=False).e.values
+    a = encode_one(base_model, x, train_mode=False).values
+    b = encode_one(base_model, x, train_mode=False).values
     assert np.array_equal(a, b)
 
 
 def test_encode_rejects_too_many_frames(base_model, config):
     rng = np.random.default_rng(2)
     x = random_features(rng, config.max_audio_frames + 1, config)
-    with pytest.raises(ValueError, match="window"):
-        encode(base_model, x, train_mode=False)
+    with pytest.raises(ValueError, match=f"windows of at most {config.max_audio_frames} frames"):
+        encode_one(base_model, x, train_mode=False)
 
 
 def test_encode_rejects_non_finite(base_model, config):
     x = np.full((4, config.feature_dim), np.nan)
     with pytest.raises(ValueError, match="finite"):
-        encode(base_model, x, train_mode=False)
+        encode_one(base_model, x, train_mode=False)
 
 
 def test_zero_init_adapters_are_a_bitwise_noop(base_model, adapted_model, config):
     rng = np.random.default_rng(3)
     x = random_features(rng, 10, config)
-    e_base = encode(base_model, x, train_mode=False).e.values
-    e_lora = encode(adapted_model, x, train_mode=False).e.values
-    assert np.array_equal(e_base, e_lora)
+    enc_b = encode_one(base_model, x, train_mode=False)
+    enc_l = encode_one(adapted_model, x, train_mode=False)
+    assert np.array_equal(enc_b.values, enc_l.values)
 
     y_in = [BOS_ID, 5, 6, 7]
-    enc_b = encode(base_model, x, train_mode=False)
-    enc_l = encode(adapted_model, x, train_mode=False)
-    lb = decoder_forward(base_model, enc_b, y_in, train_mode=False).values
-    ll = decoder_forward(adapted_model, enc_l, y_in, train_mode=False).values
+    lb = decode_one(base_model, enc_b, y_in, train_mode=False).values
+    ll = decode_one(adapted_model, enc_l, y_in, train_mode=False).values
     assert np.array_equal(lb, ll)
-
-
-def test_decoder_requires_bos(base_model, config):
-    rng = np.random.default_rng(4)
-    enc = encode(base_model, random_features(rng, 6, config), train_mode=False)
-    with pytest.raises(ValueError, match="BOS"):
-        decoder_forward(base_model, enc, [EOS_ID], train_mode=False)
 
 
 def test_decoder_single_token_shape(base_model, config):
     rng = np.random.default_rng(5)
-    enc = encode(base_model, random_features(rng, 6, config), train_mode=False)
-    logits = decoder_forward(base_model, enc, [BOS_ID], train_mode=False)
-    assert logits.values.shape == (1, config.vocab_size)
+    enc = encode_one(base_model, random_features(rng, 6, config), train_mode=False)
+    logits = decode_one(base_model, enc, [BOS_ID], train_mode=False)
+    assert logits.values.shape == (1, 1, config.vocab_size)
 
 
 def test_decoder_rejects_out_of_vocab(base_model, config):
     rng = np.random.default_rng(6)
-    enc = encode(base_model, random_features(rng, 6, config), train_mode=False)
+    enc = encode_one(base_model, random_features(rng, 6, config), train_mode=False)
     with pytest.raises(IndexError):
-        decoder_forward(base_model, enc, [BOS_ID, config.vocab_size], train_mode=False)
+        decode_one(base_model, enc, [BOS_ID, config.vocab_size], train_mode=False)
 
 
 def test_decoder_causality_under_suffix_perturbation(base_model, config):
     rng = np.random.default_rng(7)
-    enc = encode(base_model, random_features(rng, 8, config), train_mode=False)
+    enc = encode_one(base_model, random_features(rng, 8, config), train_mode=False)
     for _ in range(20):
         length = int(rng.integers(2, 10))
         y = [BOS_ID] + list(rng.integers(3, VOCAB_SIZE, size=length - 1))
         t = int(rng.integers(0, length - 1))
-        ref = decoder_forward(base_model, enc, y, train_mode=False).values
+        ref = decode_one(base_model, enc, y, train_mode=False).values[0]
         y_pert = list(y)
         y_pert[t + 1] = int(rng.integers(3, VOCAB_SIZE))
-        pert = decoder_forward(base_model, enc, y_pert, train_mode=False).values
+        pert = decode_one(base_model, enc, y_pert, train_mode=False).values[0]
         assert np.array_equal(ref[: t + 1], pert[: t + 1])
 
 
 # ---------------------------------------------------------------------------
-# lora_linear
+# the LoRA branch of _proj
 # ---------------------------------------------------------------------------
 
 
@@ -148,52 +149,70 @@ def make_adapter(rng, d_out, d_in, rank=4, alpha=4.0, dropout=0.0, zero_b=False)
     )
 
 
+def one_projection(rng, adapter=None):
+    """A model whose only weights are the projection att.wq (6 x 5) and its bias att.bq."""
+    params = {
+        "att.wq": Tensor(rng.standard_normal((6, 5))),
+        "att.bq": Tensor(rng.standard_normal(6)),
+    }
+    model = TranscriberModel(ModelConfig(), params)
+    if adapter is not None:
+        model.adapters["att.wq"] = adapter
+    return model
+
+
+def proj(model, x, train_mode, rng=None):
+    return _proj(model, "att", "wq", x, train_mode, rng)
+
+
 def test_lora_linear_zero_b_is_exactly_base(config):
     rng = np.random.default_rng(8)
-    w = Tensor(rng.standard_normal((6, 5)))
+    model = one_projection(rng, make_adapter(rng, 6, 5, zero_b=True))
     x = Tensor(rng.standard_normal((3, 5)))
-    adapter = make_adapter(rng, 6, 5, zero_b=True)
-    out = lora_linear(adapter, w, x, train_mode=False)
-    assert np.array_equal(out.values, x.values @ w.values.T)
+    out = proj(model, x, train_mode=False)
+    base = nm.linear(x, model.params["att.wq"], model.params["att.bq"])
+    assert np.array_equal(out.values, base.values)
 
 
 def test_lora_linear_delta_linear_in_alpha():
     rng = np.random.default_rng(9)
-    w = Tensor(rng.standard_normal((6, 5)))
-    x = Tensor(rng.standard_normal((3, 5)))
     a1 = make_adapter(rng, 6, 5, alpha=4.0)
     a2 = LoraAdapter(a=a1.a, b=a1.b, rank=a1.rank, alpha=8.0, dropout=0.0)
-    base = x.values @ w.values.T
-    d1 = lora_linear(a1, w, x, train_mode=False).values - base
-    d2 = lora_linear(a2, w, x, train_mode=False).values - base
+    model = one_projection(rng)
+    x = Tensor(rng.standard_normal((3, 5)))
+    base = proj(model, x, train_mode=False).values
+    model.adapters["att.wq"] = a1
+    d1 = proj(model, x, train_mode=False).values - base
+    model.adapters["att.wq"] = a2
+    d2 = proj(model, x, train_mode=False).values - base
     assert np.allclose(d2, 2.0 * d1, atol=1e-12)
 
 
 def test_lora_merge_equivalence():
     rng = np.random.default_rng(10)
-    w = Tensor(rng.standard_normal((6, 5)))
     adapter = make_adapter(rng, 6, 5)
-    merged = w.values + adapter.delta()
+    model = one_projection(rng, adapter)
+    w, b = model.params["att.wq"].values, model.params["att.bq"].values
+    merged = w + adapter.delta()
     for _ in range(50):
         x = Tensor(rng.standard_normal((4, 5)))
-        runtime = lora_linear(adapter, w, x, train_mode=False).values
-        direct = x.values @ merged.T
+        runtime = proj(model, x, train_mode=False).values
+        direct = x.values @ merged.T + b
         assert np.max(np.abs(runtime - direct)) <= 1e-10
 
 
 def test_lora_dropout_only_in_train_mode():
     rng = np.random.default_rng(11)
-    w = Tensor(rng.standard_normal((6, 5)))
+    model = one_projection(rng, make_adapter(rng, 6, 5, dropout=0.5))
     x = Tensor(rng.standard_normal((3, 5)))
-    adapter = make_adapter(rng, 6, 5, dropout=0.5)
-    eval_a = lora_linear(adapter, w, x, train_mode=False).values
-    eval_b = lora_linear(adapter, w, x, train_mode=False).values
+    eval_a = proj(model, x, train_mode=False).values
+    eval_b = proj(model, x, train_mode=False).values
     assert np.array_equal(eval_a, eval_b)
-    t1 = lora_linear(adapter, w, x, train_mode=True, rng=np.random.default_rng(0)).values
-    t2 = lora_linear(adapter, w, x, train_mode=True, rng=np.random.default_rng(1)).values
+    t1 = proj(model, x, train_mode=True, rng=np.random.default_rng(0)).values
+    t2 = proj(model, x, train_mode=True, rng=np.random.default_rng(1)).values
     assert not np.array_equal(t1, t2)
     with pytest.raises(ValueError, match="rng"):
-        lora_linear(adapter, w, x, train_mode=True)
+        proj(model, x, train_mode=True)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +238,10 @@ def test_manual_finetune_update_keeps_base_digest(adapted_model, config):
     rng = np.random.default_rng(12)
     digest_before = base_digest(adapted_model)
     x = random_features(rng, 8, config)
-    enc = encode(adapted_model, x, train_mode=True, rng=np.random.default_rng(1))
+    enc = encode_one(adapted_model, x, train_mode=True, rng=np.random.default_rng(1))
     y = np.array([BOS_ID, 4, 5, EOS_ID])
-    logits = decoder_forward(adapted_model, enc, y[:-1], train_mode=True, rng=np.random.default_rng(2))
-    loss = nm.cross_entropy(logits, y[1:], ignore_index=0)
+    logits = decode_one(adapted_model, enc, y[:-1], train_mode=True, rng=np.random.default_rng(2))
+    loss = nm.cross_entropy(logits, y[None, 1:], ignore_index=0)
     backward(loss)
     params = trainable_parameters(adapted_model, "finetune")
     for p in params:
@@ -238,10 +257,10 @@ def test_adapter_gradients_reach_both_factors(adapted_model, config):
     # push B off zero so A receives gradient through it
     for ad in adapted_model.adapters.values():
         ad.b.values[:] = 0.01
-    enc = encode(adapted_model, x, train_mode=False)
+    enc = encode_one(adapted_model, x, train_mode=False)
     y = np.array([BOS_ID, 4, 5, EOS_ID])
-    logits = decoder_forward(adapted_model, enc, y[:-1], train_mode=False)
-    loss = nm.cross_entropy(logits, y[1:], ignore_index=0)
+    logits = decode_one(adapted_model, enc, y[:-1], train_mode=False)
+    loss = nm.cross_entropy(logits, y[None, 1:], ignore_index=0)
     backward(loss)
     some_a = any(np.abs(ad.a.grad).max() > 0 for ad in adapted_model.adapters.values())
     some_b = any(np.abs(ad.b.grad).max() > 0 for ad in adapted_model.adapters.values())
