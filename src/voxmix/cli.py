@@ -90,6 +90,9 @@ class ExperimentSpec:
     def __post_init__(self):
         self.pretrain.check("pretrain")
         self.finetune.check("finetune")
+        if self.finetune.seed != 0:
+            raise ValueError(f"finetune.seed must be 0, got {self.finetune.seed}: "
+                             f"fine-tune seeds come from seeds {self.seeds}")
         ids = [c.cell_id for c in self.strategies]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate strategy ids in spec: {ids}")

@@ -12,6 +12,11 @@ Both take padded arrays with validity masks; a single sample is a batch of
 one. Every projection goes through `_proj`, which adds a LoRA branch where
 the projection is adapted.
 
+With a `DecodeCache`, `decode_batch` runs incrementally: cross-attention
+projects the encoder output once, self-attention appends each call's keys
+and values. Logits then match a full-prefix call to about 1e-14, not bit
+for bit, as BLAS may round a product of fewer rows differently.
+
 Checkpoints come in two kinds. A full checkpoint holds every base weight
 and any adapters; the pretrained model is saved this way. A model built
 over the frozen base of a loaded full checkpoint (`share_base`), such as a
@@ -30,7 +35,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -89,6 +94,14 @@ class BaseFile:
 
     path: str  # absolute and normalised
     digest: str
+
+
+@dataclass
+class DecodeCache:
+    """Positions decoded so far over one encoding, and each decoder attention's K and V."""
+
+    length: int = 0
+    kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
 
 
 class TranscriberModel:
@@ -231,10 +244,18 @@ def _proj(model, prefix, matrix, x, train_mode, rng):
     return nm.add(out, nm.scale(delta, adapter.scaling))
 
 
-def _attention(model, prefix, x_q, x_kv, add_mask, train_mode, rng):
+def _attention(model, prefix, x_q, x_kv, add_mask, train_mode, rng, cache=None):
     q = _proj(model, prefix, "wq", x_q, train_mode, rng)
-    k = nm.linear(x_kv, model.params[f"{prefix}.wk"], model.params[f"{prefix}.bk"])
-    v = _proj(model, prefix, "wv", x_kv, train_mode, rng)
+    held = cache.kv.get(prefix) if cache is not None else None
+    if held is not None and prefix.endswith(".cross"):  # over the same enc every call
+        k, v = held
+    else:
+        k = nm.linear(x_kv, model.params[f"{prefix}.wk"], model.params[f"{prefix}.bk"])
+        v = _proj(model, prefix, "wv", x_kv, train_mode, rng)
+        if held is not None:
+            k, v = nm.concat((held[0], k), axis=1), nm.concat((held[1], v), axis=1)
+        if cache is not None:
+            cache.kv[prefix] = (k, v)
     ctx = nm.attention_core(q, k, v, model.config.num_heads, add_mask)
     return nm.linear(ctx, model.params[f"{prefix}.wo"], model.params[f"{prefix}.bo"])
 
@@ -294,31 +315,39 @@ def decode_batch(
     y_in: np.ndarray,
     train_mode: bool,
     rng: np.random.Generator | None = None,
+    cache: DecodeCache | None = None,
 ) -> Tensor:
-    """Teacher-forced decoder logits (B, L, V) for padded token ids (B, L)."""
+    """Teacher-forced decoder logits (B, L, V) for padded token ids (B, L).
+
+    With a cache, y_in holds the L positions after the `cache.length` decoded.
+    """
     cfg = model.config
     bsz, seq = y_in.shape
-    if seq > cfg.max_token_len:
-        raise ValueError(f"{seq} tokens exceeds max_token_len={cfg.max_token_len}")
+    start = cache.length if cache is not None else 0
+    if start + seq > cfg.max_token_len:
+        what = f"{start} cached + {seq} new tokens" if start else f"{seq} tokens"
+        raise ValueError(f"{what} exceeds max_token_len={cfg.max_token_len}")
     if y_in.max() >= cfg.vocab_size or y_in.min() < 0:
         raise IndexError(
             f"token id out of range [0, {cfg.vocab_size}): min={y_in.min()}, max={y_in.max()}"
         )
 
     h = nm.embedding(model.params["dec.tok"], y_in)
-    h = nm.add(h, nm.embedding(model.params["dec.pos"], np.arange(seq)))
+    h = nm.add(h, nm.embedding(model.params["dec.pos"], np.arange(start, start + seq)))
 
-    causal = np.where(np.tril(np.ones((seq, seq), dtype=bool)), 0.0, NEG_MASK)[None, None]
+    causal = np.where(np.tri(seq, start + seq, start, dtype=bool), 0.0, NEG_MASK)[None, None]
     cross_mask = _key_pad_mask(enc_frame_mask)
     for i in range(cfg.decoder_layers):
         prefix = f"dec.{i}"
         a = _ln(model, f"{prefix}.ln1", h)
-        h = nm.add(h, _attention(model, f"{prefix}.self", a, a, causal, train_mode, rng))
+        h = nm.add(h, _attention(model, f"{prefix}.self", a, a, causal, train_mode, rng, cache))
         c = _ln(model, f"{prefix}.ln2", h)
-        h = nm.add(h, _attention(model, f"{prefix}.cross", c, enc, cross_mask, train_mode, rng))
+        h = nm.add(h, _attention(model, f"{prefix}.cross", c, enc, cross_mask, train_mode, rng, cache))
         m = _ln(model, f"{prefix}.ln3", h)
         h = nm.add(h, _mlp(model, prefix, m))
     h = _ln(model, "dec.ln_out", h)
+    if cache is not None:
+        cache.length += seq
     return nm.linear(h, model.params["dec.out.w"], model.params["dec.out.b"])
 
 

@@ -75,9 +75,9 @@ def _dual_losses(model, samples, plan, state):
 
 def _single_domain_losses(model, samples, plan, state):
     """Forward over per-sample selected domains, grouped as [vocal | mixture]."""
-    picks = [select_inputs(plan.loss.strategy, s, state.domain_rng)[0] for s in samples]
-    v_idx = [i for i, (tag, _) in enumerate(picks) if tag == "v"]
-    m_idx = [i for i, (tag, _) in enumerate(picks) if tag == "m"]
+    picks = [select_inputs(plan.loss.strategy, state.domain_rng)[0] for _ in samples]
+    v_idx = [i for i, tag in enumerate(picks) if tag == "v"]
+    m_idx = [i for i, tag in enumerate(picks) if tag == "m"]
     ordered = [samples[i] for i in v_idx] + [samples[i] for i in m_idx]
     n_v = len(v_idx)
 

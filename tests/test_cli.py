@@ -149,6 +149,19 @@ def test_spec_refuses_negative_seeds():
         replace(micro_spec("x"), seeds=[0, -1])
 
 
+def test_spec_refuses_a_finetune_seed_it_would_ignore(tmp_path):
+    spec = micro_spec("x")
+    message = r"finetune.seed must be 0, got 7: fine-tune seeds come from seeds \[0, 1\]"
+    with pytest.raises(ValueError, match=message):
+        replace(spec, finetune=replace(spec.finetune, seed=7))
+    doc = spec_to_doc(spec)
+    doc["finetune"]["seed"] = 7
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_spec(path)
+
+
 def test_gen_data_is_deterministic_and_split_disjoint(tmp_path):
     out = tmp_path / "out"
     spec = micro_spec(str(out))

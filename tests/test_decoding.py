@@ -12,6 +12,7 @@ from voxmix import numerics as nm
 from voxmix.decoding import DecodeConfig, transcribe_batch
 from voxmix.losses import LossConfig
 from voxmix.model import (
+    DecodeCache,
     ModelConfig,
     attach_adapters,
     base_digest,
@@ -23,6 +24,7 @@ from voxmix.model import (
 from voxmix.synthdata import (
     BOS_ID,
     EOS_ID,
+    PAD_ID,
     GenConfig,
     build_corpus,
     detokenize,
@@ -136,6 +138,137 @@ def test_decoding_does_not_mutate_model(trained, clean_cfg, cfg):
     for k, (a, b) in adapters_before.items():
         assert np.array_equal(trained.adapters[k].a.values, a)
         assert np.array_equal(trained.adapters[k].b.values, b)
+
+
+# ---------------------------------------------------------------------------
+# incremental decoding: a DecodeCache against the full-prefix recompute
+# ---------------------------------------------------------------------------
+
+# A cached step multiplies fewer rows than the full-prefix forward, and BLAS
+# may round a row differently with the row count, so logits agree to a
+# tolerance rather than bit for bit.
+CACHE_TOL = dict(rtol=1e-12, atol=1e-12)
+
+
+def adapted_with_nonzero_b(seed=11):
+    model = build_model(ModelConfig(), seed=seed)
+    attach_adapters(model, 4, 4.0, 0.1, seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    for ad in model.adapters.values():
+        ad.b.values[:] = 0.1 * rng.standard_normal(ad.b.values.shape)
+    return model
+
+
+def random_windows(model, lengths, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((n, model.config.feature_dim)) for n in lengths]
+
+
+def padded(windows):
+    feats = np.zeros((len(windows), max(len(w) for w in windows), windows[0].shape[1]))
+    mask = np.zeros(feats.shape[:2], dtype=bool)
+    for i, w in enumerate(windows):
+        feats[i, : len(w)] = w
+        mask[i, : len(w)] = True
+    return feats, mask
+
+
+def token_prefixes(model, bsz, length, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, model.config.vocab_size, size=(bsz, length))
+    y[:, 0] = BOS_ID
+    return y
+
+
+def full_recompute_greedy(model, windows, cfg):
+    """The greedy loop with no cache: each step reruns the decoder over the whole prefix."""
+    feats, mask = padded(windows)
+    limit = min(cfg.max_tokens, model.config.max_token_len)
+    y = np.full((len(windows), 1), BOS_ID, dtype=np.int64)
+    done = np.zeros(len(windows), dtype=bool)
+    with nm.no_grad():
+        enc = encode_batch(model, feats, mask, train_mode=False)
+        while True:
+            nxt = np.argmax(decode_batch(model, enc, mask, y, False).values[:, -1, :], axis=-1)
+            nxt = np.where(done, PAD_ID, nxt)
+            y = np.concatenate([y, nxt[:, None]], axis=1)
+            done |= nxt == EOS_ID
+            if done.all() or y.shape[1] >= limit:
+                break
+    return [[int(t) for t in row if t != PAD_ID] for row in y]
+
+
+def test_cached_steps_match_the_full_prefix_logits():
+    model = adapted_with_nonzero_b()
+    feats, mask = padded(random_windows(model, [64, 23, 40, 7], seed=1))
+    y = token_prefixes(model, 4, model.config.max_token_len, seed=2)
+    with nm.no_grad():
+        enc = encode_batch(model, feats, mask, False)
+        cache = DecodeCache()
+        for t in range(y.shape[1]):
+            step = decode_batch(model, enc, mask, y[:, t : t + 1], False, cache=cache)
+            full = decode_batch(model, enc, mask, y[:, : t + 1], False)
+            np.testing.assert_allclose(step.values[:, 0], full.values[:, -1], **CACHE_TOL)
+    assert cache.length == model.config.max_token_len
+
+
+def test_a_chunk_after_a_filled_cache_matches_the_full_prefix_logits():
+    # a 3-token chunk checks the offset causal mask and positions
+    model = adapted_with_nonzero_b(seed=21)
+    feats, mask = padded(random_windows(model, [30, 64, 12], seed=3))
+    y = token_prefixes(model, 3, 12, seed=4)
+    with nm.no_grad():
+        enc = encode_batch(model, feats, mask, False)
+        full = decode_batch(model, enc, mask, y, False).values
+        cache = DecodeCache()
+        first = decode_batch(model, enc, mask, y[:, :5], False, cache=cache)
+        chunk = decode_batch(model, enc, mask, y[:, 5:8], False, cache=cache)
+        np.testing.assert_allclose(first.values, full[:, :5], **CACHE_TOL)
+        np.testing.assert_allclose(chunk.values, full[:, 5:8], **CACHE_TOL)
+        for t in range(8, 12):
+            step = decode_batch(model, enc, mask, y[:, t : t + 1], False, cache=cache)
+            np.testing.assert_allclose(step.values[:, 0], full[:, t], **CACHE_TOL)
+
+
+@pytest.mark.parametrize("which", ["trained", "nonzero_b"])
+def test_transcribe_batch_equals_the_full_recompute_greedy_loop(trained, clean_cfg, which):
+    if which == "trained":
+        model, cfg = trained, DecodeConfig(max_tokens=24, window_frames=64)
+        samples = [generate_sample(seed, clean_cfg) for seed in range(90_140, 90_150)]
+        windows = [s.x_v for s in samples] + [s.x_m[: s.duration_frames // 2] for s in samples]
+    else:  # an untrained model runs on to the longest prefix the model takes
+        model, cfg = adapted_with_nonzero_b(seed=31), DecodeConfig(max_tokens=48, window_frames=64)
+        windows = random_windows(model, [64, 5, 33, 48, 17], seed=5)
+    assert transcribe_batch(model, windows, cfg) == full_recompute_greedy(model, windows, cfg)
+
+
+def test_gradients_through_a_cached_decode_match_the_full_decode():
+    # recording on: the cached keys and values must carry gradient into later steps
+    model = adapted_with_nonzero_b(seed=41)
+    feats, mask = padded(random_windows(model, [16, 9], seed=6))
+    y = token_prefixes(model, 2, 2, seed=7)
+    weights = np.random.default_rng(8).standard_normal((2, 2, model.config.vocab_size))
+    params = list(model.params.values()) + [t for ad in model.adapters.values() for t in (ad.a, ad.b)]
+
+    def grads(cached: bool):
+        nm.zero_grads(params)
+        enc = encode_batch(model, feats, mask, False)
+        if cached:
+            cache = DecodeCache()
+            steps = [decode_batch(model, enc, mask, y[:, t : t + 1], False, cache=cache)
+                     for t in range(2)]
+            loss = nm.add(*(nm.tensor_sum(nm.mul(s, nm.Tensor(weights[:, t : t + 1])))
+                            for t, s in enumerate(steps)))
+        else:
+            logits = decode_batch(model, enc, mask, y, False)
+            loss = nm.tensor_sum(nm.mul(logits, nm.Tensor(weights)))
+        nm.backward(loss)
+        return [p.grad.copy() for p in params]
+
+    full, cached = grads(False), grads(True)
+    for g_full, g_cached in zip(full, cached):
+        np.testing.assert_allclose(g_cached, g_full, **CACHE_TOL)
+    assert all(np.abs(g).max() > 0 for g in cached)
 
 
 # ---------------------------------------------------------------------------

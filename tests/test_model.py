@@ -7,6 +7,7 @@ import pytest
 
 from voxmix import numerics as nm
 from voxmix.model import (
+    DecodeCache,
     LoraAdapter,
     ModelConfig,
     TranscriberModel,
@@ -117,6 +118,23 @@ def test_decoder_rejects_out_of_vocab(base_model, config):
     enc = encode_one(base_model, random_features(rng, 6, config), train_mode=False)
     with pytest.raises(IndexError):
         decode_one(base_model, enc, [BOS_ID, config.vocab_size], train_mode=False)
+
+
+def test_decoder_refuses_a_cached_call_past_max_token_len(base_model, config):
+    rng = np.random.default_rng(8)
+    enc = encode_one(base_model, random_features(rng, 6, config), train_mode=False)
+    mask = np.ones((1, 6), dtype=bool)
+    limit = config.max_token_len
+    with pytest.raises(ValueError, match=f"{limit + 1} tokens exceeds max_token_len={limit}"):
+        decode_batch(base_model, enc, mask, np.full((1, limit + 1), BOS_ID), False)
+    cache = DecodeCache()
+    decode_batch(base_model, enc, mask, np.full((1, limit - 2), BOS_ID), False, cache=cache)
+    message = f"{limit - 2} cached \\+ 3 new tokens exceeds max_token_len={limit}"
+    with pytest.raises(ValueError, match=message):
+        decode_batch(base_model, enc, mask, np.full((1, 3), BOS_ID), False, cache=cache)
+    assert cache.length == limit - 2
+    decode_batch(base_model, enc, mask, np.full((1, 2), BOS_ID), False, cache=cache)
+    assert cache.length == limit
 
 
 def test_decoder_causality_under_suffix_perturbation(base_model, config):
