@@ -7,7 +7,8 @@ reproduces all emitted files byte for byte; grid cells are independent
 jobs and may run in parallel worker processes. The spec's pretrain and
 finetune plans (`training.PhasePlanSpec`) are checked when the spec is
 built, so a setting training cannot use stops a command before it writes
-anything; each phase then trains on `TrainPlan(phase, loss, plan)`.
+anything; each phase then trains on `TrainPlan(phase, loss, plan)`. Each
+split's corpus config is checked against the model there too.
 
 An output directory holds corpora/<split>.jsonl, checkpoints/pretrain.json
 (the full pretrained model) with its metrics log, one cells/<id>_s<seed>/
@@ -51,7 +52,6 @@ from voxmix.synthdata import (
     build_corpus,
     detokenize,
     load_corpus,
-    split_config,
     write_corpus,
 )
 from voxmix.training import PhasePlanSpec, TrainPlan, run_experiment
@@ -107,6 +107,27 @@ class ExperimentSpec:
         missing = set(SPLITS) - set(self.corpus_songs)
         if missing:
             raise ValueError(f"corpus_songs missing splits: {sorted(missing)}")
+        _check_known(GenConfig, self.pretrain_gen_overrides, "pretrain_gen_overrides")
+        for split in SPLITS:
+            _check_corpus_feeds_model(_split_gen(self, split), self.model, split)
+
+
+def _check_corpus_feeds_model(gen: GenConfig, model: ModelConfig, split: str) -> None:
+    """Raise a ValueError naming both fields when a split's segments cannot enter the model."""
+    # a line costs frames_per_token * (characters + 1): a segment has <= n - 1 characters
+    n = gen.segment_max_frames // gen.frames_per_token
+    frames = (n - 1) * gen.frames_per_token
+    seg = f"gen.segment_max_frames {gen.segment_max_frames} makes segments of up to"
+    for bad, message in (
+        (gen.feature_dim != model.feature_dim,
+         f"gen.feature_dim {gen.feature_dim} differs from model.feature_dim {model.feature_dim}"),
+        (frames > model.max_audio_frames,
+         f"{seg} {frames} frames, over model.max_audio_frames {model.max_audio_frames}"),
+        (n > model.max_token_len,
+         f"{seg} {n} decoder-input tokens, over model.max_token_len {model.max_token_len}"),
+    ):
+        if bad:
+            raise ValueError(f"{split} corpus: {message}")
 
 
 def default_spec(out_dir: str = "runs/default") -> ExperimentSpec:
@@ -135,7 +156,7 @@ def default_spec(out_dir: str = "runs/default") -> ExperimentSpec:
         lora=LoraSpec(),
         pretrain=PhasePlanSpec(peak_lr=3e-3, total_steps=2000, batch_size=16, seed=0),
         finetune=PhasePlanSpec(peak_lr=1e-3, total_steps=1000, batch_size=8),
-        decode=DecodeConfig(max_tokens=24, window_frames=64),
+        decode=DecodeConfig(max_tokens=24),
         strategies=strategies,
     )
 
@@ -145,11 +166,14 @@ def default_spec(out_dir: str = "runs/default") -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _strict(cls, doc: dict, where: str):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(doc) - known
+def _check_known(cls, doc: dict, where: str) -> None:
+    unknown = set(doc) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
+
+
+def _strict(cls, doc: dict, where: str):
+    _check_known(cls, doc, where)
     return cls(**doc)
 
 
@@ -163,10 +187,7 @@ def spec_to_doc(spec: ExperimentSpec) -> dict:
 
 def spec_from_doc(doc: dict) -> ExperimentSpec:
     doc = dict(doc)
-    known = set(ExperimentSpec.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown fields in spec: {sorted(unknown)}")
+    _check_known(ExperimentSpec, doc, "spec")
     cells = []
     for entry in doc.pop("strategies"):
         entry = dict(entry)
@@ -244,7 +265,7 @@ def _split_seed_base(spec: ExperimentSpec, split: str) -> int:
 
 def _split_gen(spec: ExperimentSpec, split: str) -> GenConfig:
     if split == "pretrain":
-        return split_config(spec.gen, **spec.pretrain_gen_overrides)
+        return replace(spec.gen, **spec.pretrain_gen_overrides)
     return spec.gen
 
 
@@ -411,10 +432,10 @@ def cmd_eval(spec: ExperimentSpec, out: Path) -> None:
         details = {
             (sid, cond): wer(refs[sid], text) for (sid, cond), text in sorted(hyps.items())
         }
-        report = aggregate(details, subset_map)
+        pooled = aggregate(details, subset_map)
         with atomic_write(rdir / f"{cell}.csv") as fh:
-            fh.write(report_csv(report))
-        pooled_by_cell[cell] = {key: d.wer for key, d in report.pooled.items()}
+            fh.write(report_csv(pooled))
+        pooled_by_cell[cell] = {key: d.wer for key, d in pooled.items()}
 
     rows = [(PRETRAINED_CELL, pooled_by_cell[PRETRAINED_CELL])]
     for cell in spec.strategies:

@@ -1,8 +1,8 @@
-"""Autoregressive inference: batched greedy decoding of windows of at most
-`window_frames` frames.
+"""Autoregressive inference: batched greedy decoding of feature windows.
 
 `transcribe_batch` is the one inference path; a single window is a batch
-of one, and a longer input is the caller's to split into windows. It runs
+of one. A window holds at most the model's `max_audio_frames` frames, which
+`encode_batch` checks; a longer input is the caller's to split. It runs
 inside `numerics.no_grad()`, so it records no graph, frees each step's
 intermediates and touches no `requires_grad` flag, with the same
 arithmetic as with recording on. Each step feeds only the last token to
@@ -23,20 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from voxmix import numerics as nm
-from voxmix.model import DecodeCache, TranscriberModel, decode_batch, encode_batch
+from voxmix.model import DecodeCache, TranscriberModel, decode_batch, encode_batch, pad_frames
 from voxmix.synthdata import BOS_ID, EOS_ID, PAD_ID
 
 
 @dataclass
 class DecodeConfig:
     max_tokens: int = 48  # includes BOS and EOS
-    window_frames: int = 64
 
     def __post_init__(self):
         if self.max_tokens < 2:
             raise ValueError(f"max_tokens must be >= 2, got {self.max_tokens}")
-        if self.window_frames < 1:
-            raise ValueError(f"window_frames must be >= 1, got {self.window_frames}")
 
 
 def transcribe_batch(
@@ -48,11 +45,6 @@ def transcribe_batch(
     hidden behind attention masks and finished rows keep emitting into
     discarded positions until every row has stopped.
     """
-    if cfg.window_frames > model.config.max_audio_frames:
-        raise ValueError(
-            f"window_frames {cfg.window_frames} exceeds the model's "
-            f"max_audio_frames {model.config.max_audio_frames}"
-        )
     if not windows:
         return []
     windows = [np.asarray(w, dtype=np.float64) for w in windows]
@@ -64,22 +56,10 @@ def transcribe_batch(
             raise ValueError(
                 f"window has {w.shape[1]} features per frame; the model takes {feature_dim}"
             )
-        if w.shape[0] > cfg.window_frames:
-            raise ValueError(
-                f"{w.shape[0]} frames exceeds window_frames {cfg.window_frames}; "
-                f"split longer inputs into windows of at most {cfg.window_frames} frames"
-            )
-    bsz = len(windows)
-    t_max = max(w.shape[0] for w in windows)
-    feats = np.zeros((bsz, t_max, feature_dim))
-    mask = np.zeros((bsz, t_max), dtype=bool)
-    for i, w in enumerate(windows):
-        feats[i, : w.shape[0]] = w
-        mask[i, : w.shape[0]] = True
-
+    feats, mask = pad_frames(windows)
     limit = min(cfg.max_tokens, model.config.max_token_len)
-    y = np.full((bsz, 1), BOS_ID, dtype=np.int64)
-    done = np.zeros(bsz, dtype=bool)
+    y = np.full((len(windows), 1), BOS_ID, dtype=np.int64)
+    done = np.zeros(len(windows), dtype=bool)
     with nm.no_grad():
         enc = encode_batch(model, feats, mask, train_mode=False)
         cache = DecodeCache()

@@ -84,18 +84,9 @@ def wer(ref: str, hyp: str) -> WerDetail:
     )
 
 
-@dataclass
-class WerReport:
-    """Per-sample details keyed by (sample id, condition), plus pooled rows
-    keyed by (subset, condition) where subsets are the language tags and
-    'overall'."""
-
-    per_sample: dict[tuple[str, str], WerDetail]
-    pooled: dict[tuple[str, str], WerDetail]
-
-
-def aggregate(details: dict[tuple[str, str], WerDetail], subset_map: dict[str, str]) -> WerReport:
-    """Pool error counts per (subset, condition); 'overall' covers every sample."""
+def aggregate(details: dict[tuple[str, str], WerDetail], subset_map: dict[str, str]) -> dict:
+    """Pool the error counts of (sample id, condition) details per (subset,
+    condition); the subsets are the language tags and 'overall'."""
     sums: dict[tuple[str, str], list[int]] = {}
     for (sample_id, condition), d in details.items():
         if condition not in CONDITIONS:
@@ -108,18 +99,17 @@ def aggregate(details: dict[tuple[str, str], WerDetail], subset_map: dict[str, s
             acc[1] += d.deletions
             acc[2] += d.insertions
             acc[3] += d.ref_words
-    pooled = {
+    return {
         key: WerDetail(s, dl, ins, ref, _wer_rate(s + dl + ins, ref))
         for key, (s, dl, ins, ref) in sums.items()
     }
-    return WerReport(per_sample=dict(details), pooled=pooled)
 
 
-def report_csv(report: WerReport) -> str:
+def report_csv(pooled: dict[tuple[str, str], WerDetail]) -> str:
     """CSV of the pooled rows: subset, condition, S, D, I, ref_words, wer."""
     lines = ["subset,condition,S,D,I,ref_words,wer"]
-    for subset, condition in sorted(report.pooled):
-        d = report.pooled[(subset, condition)]
+    for subset, condition in sorted(pooled):
+        d = pooled[(subset, condition)]
         lines.append(
             f"{subset},{condition},{d.substitutions},{d.deletions},"
             f"{d.insertions},{d.ref_words},{d.wer:.6f}"

@@ -37,16 +37,6 @@ class LossConfig:
             raise ValueError(f"consistency weight must be >= 0, got {self.weight}")
 
 
-@dataclass
-class LossBreakdown:
-    """Scalar loss values reported per training step; absent terms are None."""
-
-    l_alt_v: float | None
-    l_alt_m: float | None
-    l_cns: float | None
-    l_total: float
-
-
 def alt_loss(logits: Tensor, y: np.ndarray) -> Tensor:
     """Cross-entropy against the shifted target sequence, PAD positions excluded."""
     return nm.cross_entropy(logits, y, ignore_index=PAD_ID)

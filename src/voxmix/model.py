@@ -3,14 +3,15 @@
 Pre-LN transformer blocks at desk scale: an input projection plus
 sinusoidal positions feed self-attention encoder blocks; the decoder uses
 causal self-attention and cross-attention over the encoder output. LoRA
-adapters attach to the query and value projections of every attention and
-are the only trainable weights during fine-tuning. With all adapter B
-matrices at zero the forward pass is bit-identical to the base model.
+adapters attach to the `ADAPTED` projections (query and value) of every
+attention and are the only trainable weights during fine-tuning. With all
+adapter B matrices at zero the forward pass is bit-identical to the base.
 
 The forward pass has two entry points, `encode_batch` and `decode_batch`.
-Both take padded arrays with validity masks; a single sample is a batch of
-one. Every projection goes through `_proj`, which adds a LoRA branch where
-the projection is adapted.
+Both take padded arrays with validity masks, as `pad_frames` lays them
+out; a single sample is a batch of one, and `encode_batch` refuses more
+than `max_audio_frames` frames. Every projection goes through `_proj`,
+which adds a LoRA branch where the projection is adapted.
 
 With a `DecodeCache`, `decode_batch` runs incrementally: cross-attention
 projects the encoder output once, self-attention appends each call's keys
@@ -45,6 +46,8 @@ from voxmix.numerics import Tensor
 from voxmix.synthdata import VOCAB_SIZE
 
 NEG_MASK = -1e30
+
+ADAPTED = ("wq", "wv")  # the LoRA paper's choice (Hu et al., arXiv 2106.09685)
 
 
 @dataclass
@@ -82,10 +85,6 @@ class LoraAdapter:
     @property
     def scaling(self) -> float:
         return self.alpha / self.rank
-
-    def delta(self) -> np.ndarray:
-        """The dense weight update this adapter currently encodes."""
-        return self.scaling * (self.b.values @ self.a.values)
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ def attach_adapters(
     dropout: float = 0.1,
     seed: int = 0,
 ) -> None:
-    """Attach LoRA adapters to the q and v projections of every attention.
+    """Attach LoRA adapters to the ADAPTED projections of every attention.
 
     A is small Gaussian, B starts at zero so the adapted model is initially
     a no-op over the base model.
@@ -213,7 +212,7 @@ def attach_adapters(
     h = model.config.hidden_dim
     a_std = 1.0 / math.sqrt(h)
     for prefix in model.attention_prefixes():
-        for m in ("wq", "wv"):
+        for m in ADAPTED:
             name = f"{prefix}.{m}"
             model.adapters[name] = LoraAdapter(
                 a=Tensor(rng.normal(0.0, a_std, size=(rank, h)), requires_grad=True),
@@ -250,14 +249,14 @@ def _attention(model, prefix, x_q, x_kv, add_mask, train_mode, rng, cache=None):
     if held is not None and prefix.endswith(".cross"):  # over the same enc every call
         k, v = held
     else:
-        k = nm.linear(x_kv, model.params[f"{prefix}.wk"], model.params[f"{prefix}.bk"])
+        k = _proj(model, prefix, "wk", x_kv, train_mode, rng)
         v = _proj(model, prefix, "wv", x_kv, train_mode, rng)
         if held is not None:
             k, v = nm.concat((held[0], k), axis=1), nm.concat((held[1], v), axis=1)
         if cache is not None:
             cache.kv[prefix] = (k, v)
     ctx = nm.attention_core(q, k, v, model.config.num_heads, add_mask)
-    return nm.linear(ctx, model.params[f"{prefix}.wo"], model.params[f"{prefix}.bo"])
+    return _proj(model, prefix, "wo", ctx, train_mode, rng)
 
 
 def _ln(model, name, x):
@@ -267,6 +266,16 @@ def _ln(model, name, x):
 def _mlp(model, prefix, x):
     h = nm.linear(x, model.params[f"{prefix}.mlp.w1"], model.params[f"{prefix}.mlp.b1"])
     return nm.linear(nm.relu(h), model.params[f"{prefix}.mlp.w2"], model.params[f"{prefix}.mlp.b2"])
+
+
+def pad_frames(windows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-pad (T_i, F) windows into features (B, T, F) and a validity mask (B, T)."""
+    x = np.zeros((len(windows), max(w.shape[0] for w in windows), windows[0].shape[1]))
+    mask = np.zeros(x.shape[:2], dtype=bool)
+    for i, w in enumerate(windows):
+        x[i, : w.shape[0]] = w
+        mask[i, : w.shape[0]] = True
+    return x, mask
 
 
 def _key_pad_mask(valid: np.ndarray) -> np.ndarray | None:
@@ -559,14 +568,14 @@ def _adapted_model(path, doc: dict, base: TranscriberModel | None) -> Transcribe
 
 def _load_adapters(path, model: TranscriberModel, entries: dict) -> None:
     h = model.config.hidden_dim
-    known = {f"{prefix}.{m}" for prefix in model.attention_prefixes() for m in ("wq", "wv")}
+    known = {f"{prefix}.{m}" for prefix in model.attention_prefixes() for m in ADAPTED}
     for name, obj in entries.items():
         rank = int(obj["rank"])
         a, b = _decode_array(obj["a"]), _decode_array(obj["b"])
         if name not in known or rank < 1 or a.shape != (rank, h) or b.shape != (h, rank):
             raise ValueError(
-                f"{path}: adapter {name} (rank {rank}, A {a.shape}, B {b.shape}) does not fit "
-                f"a model with hidden_dim {h}; adapted projections are {sorted(known)}"
+                f"{path}: adapter {name} (rank {rank}, A {a.shape}, B {b.shape}) does not fit the "
+                f"model: hidden_dim is {h} and the adapted projections are {sorted(known)}"
             )
         model.adapters[name] = LoraAdapter(
             a=Tensor(a, requires_grad=True),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -193,7 +193,7 @@ def song_tables(cfg: GenConfig, language: str) -> SongTables:
 def generate_song(
     seed: int,
     cfg: GenConfig,
-    language: str | None = None,
+    language: str,
     tables: SongTables | None = None,
 ) -> list[PairedSample]:
     """All segments of one synthetic song, fully determined by `seed`.
@@ -201,8 +201,6 @@ def generate_song(
     `tables` must be song_tables(cfg, language); callers rendering many songs
     pass it to build it once.
     """
-    if language is None:
-        language = cfg.languages[0]
     if tables is None:
         tables = song_tables(cfg, language)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _tag_key(language)]))
@@ -256,11 +254,6 @@ def _stretch_a_vowel(line: str, rng: np.random.Generator) -> str:
     pos = vowel_positions[int(rng.integers(0, len(vowel_positions)))]
     extra = int(rng.integers(2, 6))
     return line[:pos] + line[pos] * (1 + extra) + line[pos + 1 :]
-
-
-def generate_sample(seed: int, cfg: GenConfig, language: str | None = None) -> PairedSample:
-    """First segment of the song for `seed`; bit-identical across calls."""
-    return generate_song(seed, cfg, language)[0]
 
 
 def build_corpus(cfg: GenConfig, songs_per_language: int, seed_base: int) -> list[PairedSample]:
@@ -335,8 +328,3 @@ def corpus_digest(samples: list[PairedSample]) -> str:
         h.update(np.ascontiguousarray(s.x_v).astype("<f8").tobytes())
         h.update(np.ascontiguousarray(s.x_m).astype("<f8").tobytes())
     return h.hexdigest()
-
-
-def split_config(cfg: GenConfig, **overrides) -> GenConfig:
-    """Copy of cfg with per-split overrides (e.g. pretrain jitter/gain)."""
-    return replace(cfg, **overrides)

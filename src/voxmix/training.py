@@ -10,6 +10,8 @@ single loss for voc and mix, token weighting for random when a batch holds
 both domains, and the mean of the two for both and cns, with cns adding
 the weighted encoder-consistency term. One backward pass on the combined
 loss per step, then one Adam update of that phase's trainable parameters.
+`train_step` returns the row that `run_experiment` logs: `step`, `lr`,
+`l_v`, `l_m`, `l_cns` (None for an absent term) and `l_total`.
 """
 
 from __future__ import annotations
@@ -17,15 +19,15 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from voxmix import numerics as nm
 from voxmix.files import atomic_write
-from voxmix.losses import LossBreakdown, LossConfig, alt_loss, combined_loss, consistency_loss
-from voxmix.model import TranscriberModel, decode_batch, encode_batch, save_checkpoint, set_trainable
+from voxmix.losses import LossConfig, alt_loss, combined_loss, consistency_loss
+from voxmix.model import TranscriberModel, decode_batch, encode_batch, pad_frames
+from voxmix.model import save_checkpoint, set_trainable
 from voxmix.numerics import Tensor, backward, zero_grads
 from voxmix.synthdata import PAD_ID, PairedSample
 
@@ -166,19 +168,11 @@ def select_inputs(strategy: str, rng: np.random.Generator) -> list[str]:
 def pad_batch(rows: list[tuple[PairedSample, str]]):
     """Stack (sample, domain) rows into padded features (B, T, F), a validity
     mask (B, T) and teacher-forcing inputs and targets (B, L)."""
-    bsz = len(rows)
-    t_max = max(s.duration_frames for s, _ in rows)
+    x, frame_mask = pad_frames([s.x_v if domain == "v" else s.x_m for s, domain in rows])
     l_max = max(len(s.tokens) - 1 for s, _ in rows)
-    feat = rows[0][0].x_v.shape[1]
-
-    x = np.zeros((bsz, t_max, feat))
-    frame_mask = np.zeros((bsz, t_max), dtype=bool)
-    y_in = np.full((bsz, l_max), PAD_ID, dtype=np.int64)
-    y_out = np.full((bsz, l_max), PAD_ID, dtype=np.int64)
-    for i, (s, domain) in enumerate(rows):
-        t = s.duration_frames
-        x[i, :t] = s.x_v if domain == "v" else s.x_m
-        frame_mask[i, :t] = True
+    y_in = np.full((len(rows), l_max), PAD_ID, dtype=np.int64)
+    y_out = np.full((len(rows), l_max), PAD_ID, dtype=np.int64)
+    for i, (s, _) in enumerate(rows):
         toks = np.asarray(s.tokens, dtype=np.int64)
         y_in[i, : toks.size - 1] = toks[:-1]
         y_out[i, : toks.size - 1] = toks[1:]
@@ -186,18 +180,11 @@ def pad_batch(rows: list[tuple[PairedSample, str]]):
 
 
 @dataclass
-class TrainMetrics:
-    step: int
-    lr: float
-    breakdown: LossBreakdown
-    wall_time: float
-
-
-@dataclass
 class TrainState:
     params: list[Tensor]
     optimizer: OptimizerState
     schedule: object
+    data_rng: np.random.Generator
     domain_rng: np.random.Generator
     dropout_rng: np.random.Generator
     step: int = 0
@@ -213,17 +200,15 @@ def make_train_state(model: TranscriberModel, plan: TrainPlan) -> TrainState:
         params=params,
         optimizer=init_optimizer(params),
         schedule=make_schedule(settings.total_steps, settings.peak_lr, settings.warmup_frac),
+        data_rng=np.random.default_rng(seqs[0]),
         domain_rng=np.random.default_rng(seqs[1]),
         dropout_rng=np.random.default_rng(seqs[2]),
     )
 
 
-def data_rng_for(plan: TrainPlan) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(plan.settings.seed).spawn(3)[0])
-
-
 def _losses(model, samples, plan, state):
-    """One forward over the step's (sample, domain) rows, vocal rows first."""
+    """One forward over the step's (sample, domain) rows, vocal rows first;
+    returns the loss to train on and the loss fields of the log row."""
     strategy = plan.loss.strategy
     picks = [(s, tag) for s in samples for tag in select_inputs(strategy, state.domain_rng)]
     rows = sorted(picks, key=lambda row: row[1] != "v")  # stable: sample order within a domain
@@ -241,7 +226,7 @@ def _losses(model, samples, plan, state):
         l_cns = consistency_loss(e_v, e_m, plan.loss.cns_kind, frame_mask[:n_v])
         total = combined_loss(l_v, l_m, l_cns, plan.loss.weight)
     elif strategy == "both":
-        total = combined_loss(l_v, l_m, Tensor(0.0), 0.0)
+        total = nm.scale(nm.add(l_v, l_m), 0.5)
     elif l_v is not None and l_m is not None:
         tokens_v = int((y_out[:n_v] != PAD_ID).sum())
         tokens_m = int((y_out[n_v:] != PAD_ID).sum())
@@ -251,13 +236,8 @@ def _losses(model, samples, plan, state):
         )
     else:
         total = l_v if l_v is not None else l_m
-    breakdown = LossBreakdown(
-        l_alt_v=l_v.item() if l_v is not None else None,
-        l_alt_m=l_m.item() if l_m is not None else None,
-        l_cns=l_cns.item() if l_cns is not None else None,
-        l_total=total.item(),
-    )
-    return total, breakdown
+    scalars = {"l_v": l_v, "l_m": l_m, "l_cns": l_cns, "l_total": total}
+    return total, {key: t.item() if t is not None else None for key, t in scalars.items()}
 
 
 def train_step(
@@ -265,16 +245,16 @@ def train_step(
     batch: list[PairedSample],
     plan: TrainPlan,
     state: TrainState,
-) -> TrainMetrics:
-    """Zero grads, one forward/backward on the strategy loss, one Adam update."""
-    t0 = time.perf_counter()
+) -> dict:
+    """Zero grads, one forward/backward on the strategy loss, one Adam update;
+    returns the step's log row."""
     step = state.step + 1
     lr = state.schedule(step)
 
     zero_grads(state.params)
-    total, breakdown = _losses(model, batch, plan, state)
-    if not np.isfinite(breakdown.l_total):
-        raise NonFiniteLossError(step, breakdown.l_total)
+    total, losses = _losses(model, batch, plan, state)
+    if not np.isfinite(losses["l_total"]):
+        raise NonFiniteLossError(step, losses["l_total"])
     backward(total)
     settings = plan.settings
     adam_step(
@@ -287,7 +267,7 @@ def train_step(
         settings.eps,
     )
     state.step = step
-    return TrainMetrics(step=step, lr=lr, breakdown=breakdown, wall_time=time.perf_counter() - t0)
+    return {"step": step, "lr": lr, **losses}
 
 
 def _batches(corpus, batch_size, rng):
@@ -297,19 +277,6 @@ def _batches(corpus, batch_size, rng):
             yield [corpus[j] for j in order[i : i + batch_size]]
 
 
-def metrics_record(metrics: TrainMetrics) -> dict:
-    """The deterministic per-step log row (wall time deliberately excluded)."""
-    b = metrics.breakdown
-    return {
-        "step": metrics.step,
-        "lr": metrics.lr,
-        "l_v": b.l_alt_v,
-        "l_m": b.l_alt_m,
-        "l_cns": b.l_cns,
-        "l_total": b.l_total,
-    }
-
-
 def run_experiment(
     plan: TrainPlan,
     corpus: list[PairedSample],
@@ -317,8 +284,9 @@ def run_experiment(
     metrics_path,
     checkpoint_path=None,
     seed_lineage: dict | None = None,
-) -> list[TrainMetrics]:
-    """Run one training phase to completion; deterministic given plan and corpus.
+) -> list[dict]:
+    """Run one training phase to completion and return its log rows;
+    deterministic given plan and corpus.
 
     Emits a JSON-lines metrics log, written during training to
     `.<name>.tmp` beside `metrics_path` and renamed into place after the last
@@ -333,21 +301,21 @@ def run_experiment(
     if not corpus:
         raise ValueError("empty corpus")
     state = make_train_state(model, plan)
-    batches = _batches(corpus, plan.settings.batch_size, data_rng_for(plan))
+    batches = _batches(corpus, plan.settings.batch_size, state.data_rng)
     history = []
     aborted = f"{os.fspath(metrics_path)}.aborted"
     with atomic_write(metrics_path, partial=aborted) as fh:
         for _ in range(plan.settings.total_steps):
             try:
-                metrics = train_step(model, next(batches), plan, state)
+                row = train_step(model, next(batches), plan, state)
             except NonFiniteLossError as err:
                 hint = f"the steps before it are logged in {aborted}; no checkpoint was written"
                 base = model.base_file
                 if plan.phase == "finetune" and base is not None and os.path.exists(base.path):
                     hint += f"; restart from the base checkpoint {base.path}"
                 raise RuntimeError(f"{err}; {hint}") from err
-            history.append(metrics)
-            fh.write(json.dumps(metrics_record(metrics), sort_keys=True) + "\n")
+            history.append(row)
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path, seed_lineage or {"plan_seed": plan.settings.seed})
     return history

@@ -3,8 +3,9 @@ loss in one forward over (sample, domain) rows, kept as a reference.
 
 `_dual_losses` stacked the vocal and mixture halves of a paired batch for
 both and cns; `_single_domain_losses` ran the per-sample picks of voc, mix
-and random. `reference_step` is a train step over them. Tests compare the
-one path of `training.train_step` against it bit for bit.
+and random. `reference_step` is a train step over them that returns the
+log row. Tests compare the one path of `training.train_step` against it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from voxmix import numerics as nm
-from voxmix.losses import LossBreakdown, alt_loss, combined_loss, consistency_loss
+from voxmix.losses import alt_loss, combined_loss, consistency_loss
 from voxmix.model import decode_batch, encode_batch
 from voxmix.numerics import Tensor, backward, zero_grads
 from voxmix.synthdata import PAD_ID
@@ -64,13 +65,13 @@ def _dual_losses(model, samples, plan, state):
         l_cns = Tensor(0.0)
         weight = 0.0
     total = combined_loss(l_v, l_m, l_cns, weight)
-    breakdown = LossBreakdown(
-        l_alt_v=l_v.item(),
-        l_alt_m=l_m.item(),
-        l_cns=l_cns.item() if plan.loss.strategy == "cns" else None,
-        l_total=total.item(),
-    )
-    return total, breakdown
+    losses = {
+        "l_v": l_v.item(),
+        "l_m": l_m.item(),
+        "l_cns": l_cns.item() if plan.loss.strategy == "cns" else None,
+        "l_total": total.item(),
+    }
+    return total, losses
 
 
 def _single_domain_losses(model, samples, plan, state):
@@ -98,26 +99,26 @@ def _single_domain_losses(model, samples, plan, state):
         )
     else:
         total = l_v if l_v is not None else l_m
-    breakdown = LossBreakdown(
-        l_alt_v=l_v.item() if l_v is not None else None,
-        l_alt_m=l_m.item() if l_m is not None else None,
-        l_cns=None,
-        l_total=total.item(),
-    )
-    return total, breakdown
+    losses = {
+        "l_v": l_v.item() if l_v is not None else None,
+        "l_m": l_m.item() if l_m is not None else None,
+        "l_cns": None,
+        "l_total": total.item(),
+    }
+    return total, losses
 
 
-def reference_step(model, batch, plan, state) -> LossBreakdown:
+def reference_step(model, batch, plan, state) -> dict:
     """A train step over the two reference paths; leaves the gradients in place."""
     step = state.step + 1
     zero_grads(state.params)
     if plan.loss.strategy in ("both", "cns"):
-        total, breakdown = _dual_losses(model, batch, plan, state)
+        total, losses = _dual_losses(model, batch, plan, state)
     else:
-        total, breakdown = _single_domain_losses(model, batch, plan, state)
+        total, losses = _single_domain_losses(model, batch, plan, state)
     backward(total)
     s = plan.settings
     adam_step(state.params, [p.grad for p in state.params], state.optimizer,
               state.schedule(step), s.beta1, s.beta2, s.eps)
     state.step = step
-    return breakdown
+    return {"step": step, "lr": state.schedule(step), **losses}

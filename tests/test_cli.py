@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from dataclasses import replace
@@ -51,8 +52,24 @@ def micro_spec(out_dir: str) -> ExperimentSpec:
             StrategyCell("voc", LossConfig(strategy="voc")),
             StrategyCell("cns_l2_w1.0", LossConfig(strategy="cns", cns_kind="L2", weight=1.0)),
         ],
-        decode=DecodeConfig(max_tokens=24, window_frames=64),
+        decode=DecodeConfig(max_tokens=24),
     )
+
+
+# Every file of micro_spec's grid: their count and the digest of _tree_digest.
+# A change that alters any output byte on purpose updates these and says so
+# in CHANGES.md.
+GRID_FILES = 31
+GRID_DIGEST = "b195629b00d98327599d5e8309c4383fdbcaf2168780c5e534719011eca886dd"
+
+
+def _tree_digest(root: Path) -> tuple[int, str]:
+    """SHA-256 over each file's relative POSIX path, a NUL byte and its bytes, in path order."""
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file())
+    h = hashlib.sha256()
+    for rel, path in files:
+        h.update(rel.encode() + b"\0" + path.read_bytes())
+    return len(files), h.hexdigest()
 
 
 def test_default_spec_matches_reported_grid():
@@ -144,6 +161,44 @@ def test_grid_with_a_bad_finetune_plan_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+# spec-document edits whose corpus the model cannot take, and the refusal
+CORPUS_MISFITS = [
+    ({"gen": {"feature_dim": 8}},
+     "pretrain corpus: gen.feature_dim 8 differs from model.feature_dim 16"),
+    ({"gen": {"segment_max_frames": 90}},
+     "pretrain corpus: gen.segment_max_frames 90 makes segments of up to 87 frames, "
+     "over model.max_audio_frames 64"),
+    ({"pretrain_gen_overrides": {"segment_max_frames": 90}},
+     "pretrain corpus: gen.segment_max_frames 90 makes segments of up to 87 frames"),
+    ({"model": {"max_token_len": 7}},
+     "pretrain corpus: gen.segment_max_frames 24 makes segments of up to 8 decoder-input "
+     "tokens, over model.max_token_len 7"),
+    ({"pretrain_gen_overrides": {"gain": 0.0}},
+     r"unknown fields in pretrain_gen_overrides: \['gain'\]"),
+]
+
+
+@pytest.mark.parametrize("edits, message", CORPUS_MISFITS)
+def test_grid_with_a_corpus_the_model_cannot_take_writes_nothing(tmp_path, edits, message):
+    out = tmp_path / "out"
+    doc = spec_to_doc(micro_spec(str(out)))
+    for section, values in edits.items():
+        doc[section].update(values)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_spec(spec_path)
+    with pytest.raises(ValueError, match=message):
+        main(["grid", "--spec", str(spec_path)])
+    assert not out.exists()
+
+
+def test_spec_accepts_a_corpus_at_the_model_limits():
+    # the default segments: at most 7 characters, 21 frames and 8 decoder inputs
+    spec = micro_spec("x")
+    replace(spec, model=replace(spec.model, max_audio_frames=21, max_token_len=8))
+
+
 def test_spec_refuses_negative_seeds():
     with pytest.raises(ValueError, match="seeds must be"):
         replace(micro_spec("x"), seeds=[0, -1])
@@ -221,7 +276,7 @@ def grid_run(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         reads = _record_reads(mp, out)
         cmd_grid(spec, out, jobs=1)
-    return spec, out, reads
+    return spec, out, reads, _tree_digest(out)
 
 
 def _record_reads(mp, out: Path) -> dict[str, list[str]]:
@@ -242,12 +297,16 @@ def _record_reads(mp, out: Path) -> dict[str, list[str]]:
 
 @pytest.fixture(scope="module")
 def grid_out(grid_run):
-    spec, out, _ = grid_run
+    spec, out, _, _ = grid_run
     return spec, out
 
 
+def test_grid_outputs_are_the_pinned_bytes(grid_run):
+    assert grid_run[3] == (GRID_FILES, GRID_DIGEST)
+
+
 def test_serial_grid_reads_each_split_and_the_base_once_per_command(grid_run):
-    spec, _, reads = grid_run
+    spec, _, reads, _ = grid_run
     # pretrain, train for every cell, test in decode, test in eval
     assert reads["corpus"] == [f"corpora/{s}.jsonl" for s in ("pretrain", "train", "test", "test")]
     # the base once for all cells and decode, then each cell's adapters once
@@ -321,17 +380,9 @@ def test_transcript_schema(grid_out):
 
 
 def test_parallel_grid_matches_serial(tmp_path):
-    serial_out = tmp_path / "serial"
-    parallel_out = tmp_path / "parallel"
-    cmd_grid(micro_spec(str(serial_out)), serial_out, jobs=1)
-    cmd_grid(micro_spec(str(parallel_out)), parallel_out, jobs=2)
-    for rel in (
-        "reports/summary.md",
-        "cells/voc_s0/metrics.jsonl",
-        "cells/cns_l2_w1.0_s1/checkpoint.json",
-        "transcripts/pretrained/mix.jsonl",
-    ):
-        assert (serial_out / rel).read_bytes() == (parallel_out / rel).read_bytes()
+    # every file, against the digest of the serial grid_run
+    cmd_grid(micro_spec(str(tmp_path)), tmp_path, jobs=2)
+    assert _tree_digest(tmp_path) == (GRID_FILES, GRID_DIGEST)
 
 
 def test_parallel_worker_reads_the_base_and_each_split_once(grid_out, tmp_path, monkeypatch):

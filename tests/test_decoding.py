@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from voxmix.model import (
     build_model,
     decode_batch,
     encode_batch,
+    pad_frames,
     set_trainable,
 )
 from voxmix.synthdata import (
@@ -28,15 +30,14 @@ from voxmix.synthdata import (
     GenConfig,
     build_corpus,
     detokenize,
-    generate_sample,
-    split_config,
+    generate_song,
 )
 from voxmix.training import PhasePlanSpec, TrainPlan, pad_batch, run_experiment
 
 
 @pytest.fixture(scope="module")
 def clean_cfg():
-    return split_config(GenConfig(), jitter=0.25, gain_range=(0.0, 0.0))
+    return replace(GenConfig(), jitter=0.25, gain_range=(0.0, 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ def trained(clean_cfg, tmp_path_factory):
 
 @pytest.fixture
 def cfg():
-    return DecodeConfig(max_tokens=24, window_frames=64)
+    return DecodeConfig(max_tokens=24)
 
 
 def test_forced_eos_stops_immediately(cfg):
@@ -72,16 +73,19 @@ def test_forced_eos_stops_immediately(cfg):
 
 
 def test_greedy_decode_deterministic(trained, clean_cfg, cfg):
-    s = generate_sample(90_000, clean_cfg)
+    s = generate_song(90_000, clean_cfg, "toyla")[0]
     a = transcribe_batch(trained, [s.x_v], cfg)[0]
     b = transcribe_batch(trained, [s.x_v], cfg)[0]
     assert a == b
 
 
 def test_greedy_decode_respects_window_limit(trained, cfg):
-    x = np.zeros((cfg.window_frames + 1, trained.config.feature_dim))
-    with pytest.raises(ValueError, match=f"split longer inputs into windows of at most {cfg.window_frames}"):
-        transcribe_batch(trained, [x], cfg)[0]
+    # the model's max_audio_frames is the one window length
+    n = trained.config.max_audio_frames
+    ok = np.zeros((n, trained.config.feature_dim))
+    assert transcribe_batch(trained, [ok[:5], ok], cfg)
+    with pytest.raises(ValueError, match=f"split longer inputs into windows of at most {n} frames"):
+        transcribe_batch(trained, [ok[:5], np.zeros((n + 1, ok.shape[1]))], cfg)
 
 
 def test_transcribe_batch_rejects_non_2d_window(trained, cfg):
@@ -111,7 +115,7 @@ def test_trained_model_transcribes_held_out_clean_sample(trained, clean_cfg, cfg
 
     details = []
     for seed in range(90_010, 90_020):
-        s = generate_sample(seed, clean_cfg)
+        s = generate_song(seed, clean_cfg, "toyla")[0]
         hyp = detokenize(transcribe_batch(trained, [s.x_v], cfg)[0])
         details.append(wer(s.text, hyp))
     pooled = sum(d.substitutions + d.deletions + d.insertions for d in details) / sum(
@@ -121,7 +125,7 @@ def test_trained_model_transcribes_held_out_clean_sample(trained, clean_cfg, cfg
 
 
 def test_batch_transcription_equals_per_sample(trained, clean_cfg, cfg):
-    samples = [generate_sample(seed, clean_cfg) for seed in range(90_030, 90_042)]
+    samples = [generate_song(seed, clean_cfg, "toyla")[0] for seed in range(90_030, 90_042)]
     windows = [s.x_v for s in samples] + [s.x_m for s in samples]
     batch = transcribe_batch(trained, windows, cfg)
     single = [transcribe_batch(trained, [w], cfg)[0] for w in windows]
@@ -131,7 +135,7 @@ def test_batch_transcription_equals_per_sample(trained, clean_cfg, cfg):
 def test_decoding_does_not_mutate_model(trained, clean_cfg, cfg):
     digest = base_digest(trained)
     adapters_before = {k: (ad.a.values.copy(), ad.b.values.copy()) for k, ad in trained.adapters.items()}
-    s = generate_sample(90_060, clean_cfg)
+    s = generate_song(90_060, clean_cfg, "toyla")[0]
     transcribe_batch(trained, [s.x_m], cfg)[0]
     transcribe_batch(trained, [s.x_v, s.x_m, s.x_v[: s.duration_frames // 2]], cfg)
     assert base_digest(trained) == digest
@@ -164,15 +168,6 @@ def random_windows(model, lengths, seed):
     return [rng.standard_normal((n, model.config.feature_dim)) for n in lengths]
 
 
-def padded(windows):
-    feats = np.zeros((len(windows), max(len(w) for w in windows), windows[0].shape[1]))
-    mask = np.zeros(feats.shape[:2], dtype=bool)
-    for i, w in enumerate(windows):
-        feats[i, : len(w)] = w
-        mask[i, : len(w)] = True
-    return feats, mask
-
-
 def token_prefixes(model, bsz, length, seed):
     rng = np.random.default_rng(seed)
     y = rng.integers(0, model.config.vocab_size, size=(bsz, length))
@@ -182,7 +177,7 @@ def token_prefixes(model, bsz, length, seed):
 
 def full_recompute_greedy(model, windows, cfg):
     """The greedy loop with no cache: each step reruns the decoder over the whole prefix."""
-    feats, mask = padded(windows)
+    feats, mask = pad_frames(windows)
     limit = min(cfg.max_tokens, model.config.max_token_len)
     y = np.full((len(windows), 1), BOS_ID, dtype=np.int64)
     done = np.zeros(len(windows), dtype=bool)
@@ -200,7 +195,7 @@ def full_recompute_greedy(model, windows, cfg):
 
 def test_cached_steps_match_the_full_prefix_logits():
     model = adapted_with_nonzero_b()
-    feats, mask = padded(random_windows(model, [64, 23, 40, 7], seed=1))
+    feats, mask = pad_frames(random_windows(model, [64, 23, 40, 7], seed=1))
     y = token_prefixes(model, 4, model.config.max_token_len, seed=2)
     with nm.no_grad():
         enc = encode_batch(model, feats, mask, False)
@@ -215,7 +210,7 @@ def test_cached_steps_match_the_full_prefix_logits():
 def test_a_chunk_after_a_filled_cache_matches_the_full_prefix_logits():
     # a 3-token chunk checks the offset causal mask and positions
     model = adapted_with_nonzero_b(seed=21)
-    feats, mask = padded(random_windows(model, [30, 64, 12], seed=3))
+    feats, mask = pad_frames(random_windows(model, [30, 64, 12], seed=3))
     y = token_prefixes(model, 3, 12, seed=4)
     with nm.no_grad():
         enc = encode_batch(model, feats, mask, False)
@@ -233,11 +228,11 @@ def test_a_chunk_after_a_filled_cache_matches_the_full_prefix_logits():
 @pytest.mark.parametrize("which", ["trained", "nonzero_b"])
 def test_transcribe_batch_equals_the_full_recompute_greedy_loop(trained, clean_cfg, which):
     if which == "trained":
-        model, cfg = trained, DecodeConfig(max_tokens=24, window_frames=64)
-        samples = [generate_sample(seed, clean_cfg) for seed in range(90_140, 90_150)]
+        model, cfg = trained, DecodeConfig(max_tokens=24)
+        samples = [generate_song(seed, clean_cfg, "toyla")[0] for seed in range(90_140, 90_150)]
         windows = [s.x_v for s in samples] + [s.x_m[: s.duration_frames // 2] for s in samples]
     else:  # an untrained model runs on to the longest prefix the model takes
-        model, cfg = adapted_with_nonzero_b(seed=31), DecodeConfig(max_tokens=48, window_frames=64)
+        model, cfg = adapted_with_nonzero_b(seed=31), DecodeConfig(max_tokens=48)
         windows = random_windows(model, [64, 5, 33, 48, 17], seed=5)
     assert transcribe_batch(model, windows, cfg) == full_recompute_greedy(model, windows, cfg)
 
@@ -245,7 +240,7 @@ def test_transcribe_batch_equals_the_full_recompute_greedy_loop(trained, clean_c
 def test_gradients_through_a_cached_decode_match_the_full_decode():
     # recording on: the cached keys and values must carry gradient into later steps
     model = adapted_with_nonzero_b(seed=41)
-    feats, mask = padded(random_windows(model, [16, 9], seed=6))
+    feats, mask = pad_frames(random_windows(model, [16, 9], seed=6))
     y = token_prefixes(model, 2, 2, seed=7)
     weights = np.random.default_rng(8).standard_normal((2, 2, model.config.vocab_size))
     params = list(model.params.values()) + [t for ad in model.adapters.values() for t in (ad.a, ad.b)]
@@ -277,7 +272,7 @@ def test_gradients_through_a_cached_decode_match_the_full_decode():
 
 
 def test_decode_logits_without_graph_equal_recorded_logits(trained, clean_cfg):
-    samples = [generate_sample(seed, clean_cfg) for seed in range(90_070, 90_076)]
+    samples = [generate_song(seed, clean_cfg, "toyla")[0] for seed in range(90_070, 90_076)]
     x_m, mask, y_in, _ = pad_batch([(s, "m") for s in samples])
 
     recorded = decode_batch(trained, encode_batch(trained, x_m, mask, False), mask, y_in, False)
@@ -299,7 +294,7 @@ def test_transcribe_batch_leaves_requires_grad_flags_as_they_were(clean_cfg, cfg
         return [p.requires_grad for p in model.params.values()] + [t.requires_grad for t in adapters]
 
     before = flags()
-    s = generate_sample(90_080, clean_cfg)
+    s = generate_song(90_080, clean_cfg, "toyla")[0]
     transcribe_batch(model, [s.x_v, s.x_m], cfg)
     assert flags() == before
 
@@ -316,7 +311,7 @@ def _traced_peak(fn):
 def test_decode_without_graph_peaks_at_a_quarter_of_recorded_memory(
     trained, clean_cfg, cfg, monkeypatch
 ):
-    samples = [generate_sample(seed, clean_cfg) for seed in range(90_100, 90_133)]
+    samples = [generate_song(seed, clean_cfg, "toyla")[0] for seed in range(90_100, 90_133)]
     windows = ([s.x_v for s in samples] + [s.x_m for s in samples])[:65]
 
     tokens, free_peak = _traced_peak(lambda: transcribe_batch(trained, windows, cfg))
@@ -340,7 +335,7 @@ windows = [rng.standard_normal((64, 16)) for _ in range(65)]
 faults = []
 for _ in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    transcribe_batch(model, windows, DecodeConfig(max_tokens=4, window_frames=64))
+    transcribe_batch(model, windows, DecodeConfig(max_tokens=4))
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(json.dumps(faults))
 """

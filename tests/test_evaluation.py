@@ -138,17 +138,17 @@ def test_pooled_wer_is_micro_average():
         ("s1", "mix"): make_detail(1, 0, 0, 4),
         ("s2", "mix"): make_detail(2, 1, 0, 6),
     }
-    report = aggregate(details, {"s1": "la", "s2": "la"})
-    pooled = report.pooled[("la", "mix")]
-    assert pooled.errors == 4 and pooled.ref_words == 10
-    assert pooled.wer == pytest.approx(0.4)
-    assert report.pooled[("overall", "mix")].wer == pytest.approx(0.4)
+    pooled = aggregate(details, {"s1": "la", "s2": "la"})
+    la = pooled[("la", "mix")]
+    assert la.errors == 4 and la.ref_words == 10
+    assert la.wer == pytest.approx(0.4)
+    assert pooled[("overall", "mix")].wer == pytest.approx(0.4)
 
 
 def test_single_sample_subset_equals_sample_wer():
     details = {("s1", "voc"): make_detail(1, 1, 0, 8)}
-    report = aggregate(details, {"s1": "be"})
-    assert report.pooled[("be", "voc")].wer == details[("s1", "voc")].wer
+    pooled = aggregate(details, {"s1": "be"})
+    assert pooled[("be", "voc")].wer == details[("s1", "voc")].wer
 
 
 def test_overall_ref_words_partition():
@@ -162,12 +162,12 @@ def test_overall_ref_words_partition():
             details[(sid, cond)] = make_detail(
                 int(rng.integers(0, 3)), int(rng.integers(0, 2)), int(rng.integers(0, 2)), 5
             )
-    report = aggregate(details, subset_map)
+    pooled = aggregate(details, subset_map)
     for cond in ("mix", "voc"):
         parts = sum(
-            report.pooled[(s, cond)].ref_words for s in ("la", "be")
+            pooled[(s, cond)].ref_words for s in ("la", "be")
         )
-        assert report.pooled[("overall", cond)].ref_words == parts
+        assert pooled[("overall", cond)].ref_words == parts
 
 
 def test_aggregate_rejects_unknown_condition():
@@ -187,8 +187,8 @@ def test_aggregate_rejects_unmapped_sample():
 
 def test_report_csv_layout():
     details = {("s1", "mix"): make_detail(1, 0, 1, 5), ("s1", "voc"): make_detail(0, 0, 0, 5)}
-    report = aggregate(details, {"s1": "la"})
-    text = report_csv(report)
+    pooled = aggregate(details, {"s1": "la"})
+    text = report_csv(pooled)
     lines = text.strip().split("\n")
     assert lines[0] == "subset,condition,S,D,I,ref_words,wer"
     assert len(lines) == 1 + 4  # (la, overall) x (mix, voc)

@@ -7,6 +7,7 @@ import pytest
 
 from voxmix import numerics as nm
 from voxmix.model import (
+    ADAPTED,
     DecodeCache,
     LoraAdapter,
     ModelConfig,
@@ -211,7 +212,7 @@ def test_lora_merge_equivalence():
     adapter = make_adapter(rng, 6, 5)
     model = one_projection(rng, adapter)
     w, b = model.params["att.wq"].values, model.params["att.bq"].values
-    merged = w + adapter.delta()
+    merged = w + adapter.scaling * (adapter.b.values @ adapter.a.values)
     for _ in range(50):
         x = Tensor(rng.standard_normal((4, 5)))
         runtime = proj(model, x, train_mode=False).values
@@ -250,6 +251,12 @@ def test_trainable_parameter_counts(base_model, adapted_model, config):
     assert len(pretrain) == len(adapted_model.params)
     with pytest.raises(ValueError, match="phase"):
         trainable_parameters(base_model, "warmup")
+
+
+def test_adapters_sit_on_the_adapted_projections_of_every_attention(adapted_model):
+    prefixes = adapted_model.attention_prefixes()
+    assert len(adapted_model.adapters) == len(prefixes) * len(ADAPTED)
+    assert set(adapted_model.adapters) == {f"{p}.{m}" for p in prefixes for m in ADAPTED}
 
 
 def test_manual_finetune_update_keeps_base_digest(adapted_model, config):
@@ -410,6 +417,19 @@ def test_adapter_checkpoint_refuses_wrong_adapter_shapes(tmp_path):
     with pytest.raises(ValueError, match="enc.0.attn.wq") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+def test_adapter_checkpoint_refuses_an_adapter_off_the_adapted_projections(tmp_path):
+    _, _, path = _cell_over_saved_base(tmp_path)
+
+    def move(doc):
+        doc["adapters"]["enc.0.attn.wk"] = doc["adapters"].pop("enc.0.attn.wq")
+
+    _edit(path, move)
+    with pytest.raises(ValueError, match="adapter enc.0.attn.wk .* does not fit") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+    assert all(f"enc.0.attn.{m}" in str(err.value) for m in ADAPTED)
 
 
 def test_full_checkpoint_refuses_weights_that_do_not_fit_its_config(base_model, tmp_path):

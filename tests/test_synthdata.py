@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,9 @@ from voxmix.synthdata import (
     clean_lyrics,
     corpus_digest,
     detokenize,
-    generate_sample,
     generate_song,
     load_corpus,
     merge_segments,
-    split_config,
     tokenize,
     write_corpus,
 )
@@ -115,8 +115,8 @@ def cfg():
 
 
 def test_same_seed_is_bit_identical(cfg):
-    a = generate_sample(123, cfg)
-    b = generate_sample(123, cfg)
+    a = generate_song(123, cfg, "toyla")[0]
+    b = generate_song(123, cfg, "toyla")[0]
     assert a.text == b.text
     assert np.array_equal(a.x_v, b.x_v)
     assert np.array_equal(a.x_m, b.x_m)
@@ -126,19 +126,19 @@ def test_same_seed_is_bit_identical(cfg):
 def test_zero_gain_makes_mixture_equal_vocal():
     cfg = GenConfig(gain_range=(0.0, 0.0))
     for seed in range(20):
-        s = generate_sample(seed, cfg)
+        s = generate_song(seed, cfg, "toyla")[0]
         assert np.array_equal(s.x_m, s.x_v)
 
 
 def test_positive_gain_separates_domains(cfg):
-    s = generate_sample(7, cfg)
+    s = generate_song(7, cfg, "toyla")[0]
     assert not np.array_equal(s.x_m, s.x_v)
     assert cfg.gain_range[0] <= s.gain <= cfg.gain_range[1]
 
 
 def test_sample_shapes_and_tokens(cfg):
     for seed in range(200):
-        s = generate_sample(seed, cfg)
+        s = generate_song(seed, cfg, "toyla")[0]
         assert s.x_v.shape == s.x_m.shape
         assert s.x_v.shape == (len(s.text) * cfg.frames_per_token, cfg.feature_dim)
         assert s.tokens[0] == BOS_ID and s.tokens[-1] == EOS_ID
@@ -149,18 +149,18 @@ def test_sample_shapes_and_tokens(cfg):
 def test_token_count_within_bounds_for_1000_seeds(cfg):
     max_tokens = cfg.segment_max_frames // cfg.frames_per_token + 2  # chars + BOS/EOS
     for seed in range(1000):
-        s = generate_sample(seed, cfg)
+        s = generate_song(seed, cfg, "toyla")[0]
         assert 3 <= len(s.tokens) <= max_tokens
 
 
 def test_language_tags_give_distinct_word_models(cfg):
-    a = [generate_sample(s, cfg, "toyla").text for s in range(30)]
-    b = [generate_sample(s, cfg, "toybe").text for s in range(30)]
+    a = [generate_song(s, cfg, "toyla")[0].text for s in range(30)]
+    b = [generate_song(s, cfg, "toybe")[0].text for s in range(30)]
     assert a != b
 
 
 def test_song_segments_share_seed_and_are_indexed(cfg):
-    song = generate_song(55, cfg)
+    song = generate_song(55, cfg, "toyla")
     assert [s.segment_index for s in song] == list(range(len(song)))
     assert all(s.seed == 55 for s in song)
 
@@ -203,10 +203,12 @@ def test_split_seed_ranges_are_disjoint(cfg):
 
 
 def test_split_config_overrides(cfg):
-    pre = split_config(cfg, jitter=0.1, gain_range=(0.0, 0.0))
+    # a spec's pretrain overrides arrive from JSON, with lists for tuples
+    pre = replace(cfg, jitter=0.1, gain_range=[0.0, 0.0])
     assert pre.jitter == 0.1
     assert pre.gain_range == (0.0, 0.0)
     assert pre.languages == cfg.languages
+    assert generate_song(3, pre, "toyla")[0].gain == 0.0
 
 
 def test_load_rejects_foreign_file(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,14 +18,13 @@ from voxmix.model import (
 from loss_reference import reference_step
 from voxmix import training
 from voxmix.numerics import Tensor
-from voxmix.synthdata import GenConfig, build_corpus, split_config
+from voxmix.synthdata import GenConfig, build_corpus
 from voxmix.training import (
     NonFiniteLossError,
     OptimizerState,
     PhasePlanSpec,
     TrainPlan,
     adam_step,
-    data_rng_for,
     init_optimizer,
     make_schedule,
     make_train_state,
@@ -215,36 +215,34 @@ def test_train_step_cns_breakdown_satisfies_combination_exactly(tiny_corpus):
     model = adapted()
     plan = finetune_plan("cns", weight=0.7)
     state = make_train_state(model, plan)
-    metrics = train_step(model, tiny_corpus[:4], plan, state)
-    b = metrics.breakdown
-    assert b.l_total == (b.l_alt_v + b.l_alt_m) / 2 + 0.7 * b.l_cns
-    assert b.l_cns > 0.0
+    row = train_step(model, tiny_corpus[:4], plan, state)
+    assert row["l_total"] == (row["l_v"] + row["l_m"]) / 2 + 0.7 * row["l_cns"]
+    assert row["l_cns"] > 0.0
 
 
 def test_train_step_both_with_zero_interference_degenerates(gen_cfg):
-    cfg = split_config(gen_cfg, gain_range=(0.0, 0.0))
+    cfg = replace(gen_cfg, gain_range=(0.0, 0.0))
     corpus = build_corpus(cfg, songs_per_language=2, seed_base=0)
     model = adapted(dropout=0.0)  # no dropout so the two passes are identical
     plan = finetune_plan("both")
     state = make_train_state(model, plan)
-    metrics = train_step(model, corpus[:4], plan, state)
-    assert metrics.breakdown.l_alt_v == metrics.breakdown.l_alt_m
-    assert metrics.breakdown.l_cns is None
+    row = train_step(model, corpus[:4], plan, state)
+    assert row["l_v"] == row["l_m"]
+    assert row["l_total"] == (row["l_v"] + row["l_m"]) / 2
+    assert row["l_cns"] is None
 
     plan_cns = finetune_plan("cns")
     state = make_train_state(model, plan_cns)
-    metrics = train_step(model, corpus[:4], plan_cns, state)
-    assert metrics.breakdown.l_cns == 0.0
+    assert train_step(model, corpus[:4], plan_cns, state)["l_cns"] == 0.0
 
 
 def test_train_step_single_domain_breakdown(tiny_corpus):
     model = adapted()
     plan = finetune_plan("voc")
     state = make_train_state(model, plan)
-    metrics = train_step(model, tiny_corpus[:4], plan, state)
-    assert metrics.breakdown.l_alt_m is None
-    assert metrics.breakdown.l_cns is None
-    assert metrics.breakdown.l_total == metrics.breakdown.l_alt_v
+    row = train_step(model, tiny_corpus[:4], plan, state)
+    assert row == {"step": 1, "lr": state.schedule(1), "l_v": row["l_v"], "l_m": None,
+                   "l_cns": None, "l_total": row["l_v"]}
 
 
 def test_train_step_updates_only_adapters(tiny_corpus):
@@ -254,11 +252,11 @@ def test_train_step_updates_only_adapters(tiny_corpus):
     state = make_train_state(model, plan)
     before = [ad.b.values.copy() for ad in model.adapters.values()]
     for _ in range(5):
-        metrics = train_step(model, tiny_corpus[:4], plan, state)
+        row = train_step(model, tiny_corpus[:4], plan, state)
     assert base_digest(model) == digest
     after = [ad.b.values for ad in model.adapters.values()]
     assert any(not np.array_equal(x, y) for x, y in zip(before, after))
-    assert np.isfinite(metrics.breakdown.l_total)
+    assert np.isfinite(row["l_total"])
 
 
 def test_pad_batch_masks(tiny_corpus):
@@ -291,24 +289,24 @@ def test_pad_batch_masks(tiny_corpus):
 )
 def test_one_loss_path_equals_the_two_path_reference(tiny_corpus, phase, strategy, cns_kind, weight):
     # the parent's stacked dual path and per-pick single path, bit for bit:
-    # loss breakdown, every trainable gradient and the updated weights
+    # log row, every trainable gradient and the updated weights
     loss = LossConfig(strategy=strategy, cns_kind=cns_kind, weight=weight)
     plan = TrainPlan(phase, loss, PhasePlanSpec(peak_lr=1e-3, total_steps=10, batch_size=8, seed=5))
     sides = []
     for _ in range(2):
         model = adapted() if phase == "finetune" else build_model(ModelConfig(), seed=0)
         state = make_train_state(model, plan)
-        sides.append((model, state, training._batches(tiny_corpus, 8, data_rng_for(plan))))
+        sides.append((model, state, training._batches(tiny_corpus, 8, state.data_rng)))
     (ref_model, ref_state, ref_batches), (model, state, batches) = sides
     for _ in range(4):
         want = reference_step(ref_model, next(ref_batches), plan, ref_state)
-        got = train_step(model, next(batches), plan, state).breakdown
+        got = train_step(model, next(batches), plan, state)
         assert got == want
         for ref_p, p in zip(ref_state.params, state.params):
             assert p.grad.tobytes() == ref_p.grad.tobytes()
             assert p.values.tobytes() == ref_p.values.tobytes()
     if strategy == "random":
-        assert got.l_alt_v is not None and got.l_alt_m is not None
+        assert got["l_v"] is not None and got["l_m"] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +437,15 @@ def test_write_to_shared_base_during_finetune_raises(tiny_corpus, tmp_path):
 def test_finetune_loss_drops_at_desk_scale(gen_cfg, tiny_corpus, tmp_path):
     # pretrain on the clean distribution, then 200 fine-tune steps on the
     # shifted one cut the training loss by at least 30% from its start
-    clean_cfg = split_config(gen_cfg, jitter=0.1, gain_range=(0.0, 0.0))
+    clean_cfg = replace(gen_cfg, jitter=0.1, gain_range=(0.0, 0.0))
     clean = build_corpus(clean_cfg, songs_per_language=6, seed_base=20_000)
     model = build_model(ModelConfig(), seed=4)
     run_experiment(pretrain_plan(200, batch_size=8, seed=1), clean, model, tmp_path / "pre.jsonl")
     attach_adapters(model, 4, 4.0, 0.1, seed=2)
     plan = finetune_plan("cns", steps=200)
     history = run_experiment(plan, tiny_corpus, model, tmp_path / "ft.jsonl")
-    start = history[0].breakdown.l_total
-    tail = np.mean([h.breakdown.l_total for h in history[-10:]])
+    start = history[0]["l_total"]
+    tail = np.mean([row["l_total"] for row in history[-10:]])
     assert tail <= 0.7 * start
 
 
@@ -464,7 +462,10 @@ def test_plan_validation():
 
 
 def test_data_rng_deterministic():
+    # the batch order is the plan seed's first spawned stream, drawn from a
+    # new generator for every train state
     plan = finetune_plan("voc")
-    a = data_rng_for(plan).permutation(10)
-    b = data_rng_for(plan).permutation(10)
-    assert np.array_equal(a, b)
+    a = make_train_state(adapted(), plan).data_rng.permutation(10)
+    b = make_train_state(adapted(), plan).data_rng.permutation(10)
+    first = np.random.default_rng(np.random.SeedSequence(plan.settings.seed).spawn(3)[0])
+    assert np.array_equal(a, b) and np.array_equal(a, first.permutation(10))
