@@ -7,8 +7,9 @@ reproduces all emitted files byte for byte; grid cells are independent
 jobs and may run in parallel worker processes. The spec's pretrain and
 finetune plans (`training.PhasePlanSpec`) are checked when the spec is
 built, so a setting training cannot use stops a command before it writes
-anything; each phase then trains on `TrainPlan(phase, loss, plan)`. Each
-split's corpus config is checked against the model there too.
+anything; each phase then trains on `TrainPlan(loss, plan)`, and the
+model's adapters, if any, say what trains. Each split's corpus config and
+the decode token limit are checked against the model there too.
 
 An output directory holds corpora/<split>.jsonl, checkpoints/pretrain.json
 (the full pretrained model) with its metrics log, one cells/<id>_s<seed>/
@@ -110,6 +111,9 @@ class ExperimentSpec:
         _check_known(GenConfig, self.pretrain_gen_overrides, "pretrain_gen_overrides")
         for split in SPLITS:
             _check_corpus_feeds_model(_split_gen(self, split), self.model, split)
+        if self.decode.max_tokens > self.model.max_token_len:
+            raise ValueError(f"decode.max_tokens {self.decode.max_tokens} exceeds "
+                             f"model.max_token_len {self.model.max_token_len}")
 
 
 def _check_corpus_feeds_model(gen: GenConfig, model: ModelConfig, split: str) -> None:
@@ -287,7 +291,7 @@ def cmd_pretrain(spec: ExperimentSpec, out: Path) -> None:
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     model = build_model(spec.model, seed=spec.pretrain.seed)
     run_experiment(
-        TrainPlan("pretrain", LossConfig(strategy="voc"), spec.pretrain),
+        TrainPlan(LossConfig(strategy="voc"), spec.pretrain),
         corpus,
         model,
         out / "checkpoints" / "pretrain_metrics.jsonl",
@@ -328,7 +332,7 @@ def cmd_finetune(
     cdir = cell_dir(out, cell_id, seed)
     cdir.mkdir(parents=True, exist_ok=True)
     run_experiment(
-        TrainPlan("finetune", cell.loss, replace(spec.finetune, seed=seed)),
+        TrainPlan(cell.loss, replace(spec.finetune, seed=seed)),
         corpus,
         model,
         cdir / "metrics.jsonl",
@@ -465,10 +469,10 @@ def cmd_eval(spec: ExperimentSpec, out: Path) -> None:
 _worker: dict = {}
 
 
-def _init_worker(spec_doc: dict, out_dir: str) -> None:
+def _init_worker(spec: ExperimentSpec, out_dir: str) -> None:
     out = Path(out_dir)
     _worker.clear()
-    _worker.update(spec=spec_from_doc(spec_doc), out=out, base=_load_base(out), splits={})
+    _worker.update(spec=spec, out=out, base=_load_base(out), splits={})
 
 
 def _worker_split(split: str) -> list[PairedSample]:
@@ -501,7 +505,7 @@ def cmd_grid(spec: ExperimentSpec, out: Path, jobs: int = 1) -> None:
             cmd_finetune(spec, out, cell_id, seed, base=base, train=train)
         cmd_decode(spec, out, base=base)
     else:
-        init = (spec_to_doc(spec), str(out))
+        init = (spec, str(out))
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=init) as pool:
             list(pool.map(_finetune_worker, [c for c, _ in units], [s for _, s in units]))
             list(pool.map(_decode_worker, all_cells(spec)))

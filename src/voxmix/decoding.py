@@ -56,8 +56,10 @@ def transcribe_batch(
             raise ValueError(
                 f"window has {w.shape[1]} features per frame; the model takes {feature_dim}"
             )
+    if cfg.max_tokens > model.config.max_token_len:
+        raise ValueError(f"max_tokens {cfg.max_tokens} exceeds the model's "
+                         f"max_token_len {model.config.max_token_len}")
     feats, mask = pad_frames(windows)
-    limit = min(cfg.max_tokens, model.config.max_token_len)
     y = np.full((len(windows), 1), BOS_ID, dtype=np.int64)
     done = np.zeros(len(windows), dtype=bool)
     with nm.no_grad():
@@ -69,6 +71,6 @@ def transcribe_batch(
             nxt = np.where(done, PAD_ID, nxt)
             y = np.concatenate([y, nxt[:, None]], axis=1)
             done |= nxt == EOS_ID
-            if done.all() or y.shape[1] >= limit:
+            if done.all() or y.shape[1] >= cfg.max_tokens:
                 break
     return [[int(t) for t in row if t != PAD_ID] for row in y]

@@ -20,7 +20,8 @@ def atomic_write(path, partial=None):
     over `path` with `os.replace` after the block returns. If the block or
     the rename raises, `path` keeps its previous contents, or stays absent,
     and the temporary file is removed; when `partial` is given it is renamed
-    to `partial` instead, so a failed run keeps what it wrote. Each path has
+    to `partial` instead, so a failed run keeps what it wrote, and a
+    completed write removes a `partial` an earlier failure left. Each path has
     one writer, so the fixed temporary name also replaces a stale one that a
     killed process left behind.
     """
@@ -30,6 +31,8 @@ def atomic_write(path, partial=None):
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
+        if partial is not None and os.path.exists(partial):
+            os.remove(partial)
     except BaseException:
         if partial is not None and os.path.exists(tmp):
             os.replace(tmp, partial)

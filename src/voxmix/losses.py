@@ -1,7 +1,7 @@
-"""Training objective: per-domain transcription losses, the encoder
-consistency penalty, and their weighted combination.
+"""Training objective: per-domain transcription losses and the encoder
+consistency penalty, which training combines per strategy.
 
-The combined loss is (L_v + L_m) / 2 + w * L_cns; the consistency term is
+The cns loss is (L_v + L_m) / 2 + w * L_cns; the consistency term is
 an L1 or L2 distance between the paired vocal and mixture encoder outputs,
 reduced as a mean over valid (unmasked) elements so the weight w is
 comparable across sequence lengths. Gradient flows into both encoder
@@ -35,6 +35,10 @@ class LossConfig:
             raise ValueError(f"consistency kind must be L1 or L2, got {self.cns_kind!r}")
         if self.weight < 0:
             raise ValueError(f"consistency weight must be >= 0, got {self.weight}")
+        for name in ("cns_kind", "weight"):  # the class attribute is the default
+            if self.strategy != "cns" and getattr(self, name) != getattr(LossConfig, name):
+                raise ValueError(f"strategy {self.strategy!r} takes no {name}: it applies to cns "
+                                 f"only, got {name}={getattr(self, name)!r}")
 
 
 def alt_loss(logits: Tensor, y: np.ndarray) -> Tensor:
@@ -70,10 +74,3 @@ def consistency_loss(e_v: Tensor, e_m: Tensor, kind: str, mask: np.ndarray) -> T
     weights = Tensor(mask[..., None].astype(np.float64))
     return nm.scale(nm.tensor_sum(nm.mul(per_elem, weights)), 1.0 / n_valid)
 
-
-def combined_loss(l_v: Tensor, l_m: Tensor, l_cns: Tensor, weight: float) -> Tensor:
-    """(L_v + L_m) / 2 + weight * L_cns; weight 0 is the plain dual-domain average."""
-    if weight < 0:
-        raise ValueError(f"consistency weight must be >= 0, got {weight}")
-    avg = nm.scale(nm.add(l_v, l_m), 0.5)
-    return nm.add(avg, nm.scale(l_cns, float(weight)))

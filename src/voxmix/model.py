@@ -4,8 +4,8 @@ Pre-LN transformer blocks at desk scale: an input projection plus
 sinusoidal positions feed self-attention encoder blocks; the decoder uses
 causal self-attention and cross-attention over the encoder output. LoRA
 adapters attach to the `ADAPTED` projections (query and value) of every
-attention and are the only trainable weights during fine-tuning. With all
-adapter B matrices at zero the forward pass is bit-identical to the base.
+attention and, once attached, are the model's only trainable weights.
+With all adapter B matrices at zero the forward pass is bit-identical.
 
 The forward pass has two entry points, `encode_batch` and `decode_batch`.
 Both take padded arrays with validity masks, as `pad_frames` lays them
@@ -360,25 +360,21 @@ def decode_batch(
     return nm.linear(h, model.params["dec.out.w"], model.params["dec.out.b"])
 
 
-def trainable_parameters(model: TranscriberModel, phase: str) -> list[Tensor]:
-    """pretrain: all base weights; finetune: exactly the adapter A/B tensors."""
-    if phase == "pretrain":
-        return [model.params[name] for name in sorted(model.params)]
-    if phase == "finetune":
-        out = []
-        for name in sorted(model.adapters):
-            out.extend([model.adapters[name].a, model.adapters[name].b])
-        return out
-    raise ValueError(f"unknown phase {phase!r}, expected 'pretrain' or 'finetune'")
+def trainable_parameters(model: TranscriberModel) -> list[Tensor]:
+    """Exactly the adapter A/B tensors when the model has adapters, as LoRA
+    fine-tuning of a frozen base trains; every base weight otherwise."""
+    if model.adapters:
+        return [t for _, ad in sorted(model.adapters.items()) for t in (ad.a, ad.b)]
+    return [model.params[name] for name in sorted(model.params)]
 
 
-def set_trainable(model: TranscriberModel, phase: str) -> list[Tensor]:
-    """Freeze everything except that phase's parameters; returns the live set.
+def set_trainable(model: TranscriberModel) -> list[Tensor]:
+    """Freeze everything except the model's trainable parameters; returns them.
 
     The requires_grad flag doubles as the per-parameter frozen marker, so
     backward skips gradient work for the frozen side entirely.
     """
-    live = trainable_parameters(model, phase)
+    live = trainable_parameters(model)
     live_ids = {id(p) for p in live}
     for p in model.params.values():
         p.requires_grad = id(p) in live_ids

@@ -1,6 +1,6 @@
 """Pretraining and fine-tuning loops: Adam with a linear warmup/decay
 schedule, input-selection strategies over paired samples, and the
-per-step combined loss.
+per-step strategy loss.
 
 A step trains on (sample, domain) rows: voc, mix and random pick one
 domain per sample, both and cns take the vocal and the mixture row of
@@ -8,10 +8,10 @@ every sample. The rows go through the shared model in one padded batch,
 vocal rows first, and the strategy combines the per-domain losses: the
 single loss for voc and mix, token weighting for random when a batch holds
 both domains, and the mean of the two for both and cns, with cns adding
-the weighted encoder-consistency term. One backward pass on the combined
-loss per step, then one Adam update of that phase's trainable parameters.
-`train_step` returns the row that `run_experiment` logs: `step`, `lr`,
-`l_v`, `l_m`, `l_cns` (None for an absent term) and `l_total`.
+the weighted encoder-consistency term. One backward pass per step, then
+one Adam update of the model's trainable parameters (its adapters, if
+any). `train_step` returns the row that `run_experiment` logs: `step`,
+`lr`, `l_v`, `l_m`, `l_cns` (None for an absent term) and `l_total`.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ import numpy as np
 
 from voxmix import numerics as nm
 from voxmix.files import atomic_write
-from voxmix.losses import LossConfig, alt_loss, combined_loss, consistency_loss
+from voxmix.losses import LossConfig, alt_loss, consistency_loss
 from voxmix.model import TranscriberModel, decode_batch, encode_batch, pad_frames
 from voxmix.model import save_checkpoint, set_trainable
 from voxmix.numerics import Tensor, backward, zero_grads
 from voxmix.synthdata import PAD_ID, PairedSample
-
-PHASES = ("pretrain", "finetune")
 
 
 class NonFiniteLossError(RuntimeError):
@@ -72,28 +70,21 @@ class PhasePlanSpec:
 
 @dataclass
 class TrainPlan:
-    """One training phase: its trainable parameters, its loss and its settings."""
+    """One training run's loss and settings; the model decides what trains."""
 
-    phase: str
     loss: LossConfig
     settings: PhasePlanSpec
 
     def __post_init__(self):
-        if self.phase not in PHASES:
-            raise ValueError(f"unknown phase {self.phase!r}, expected one of {PHASES}")
-        self.settings.check(self.phase)
+        self.settings.check("training")
 
 
-def make_schedule(total_steps: int, peak_lr: float, warmup_frac: float = 0.1):
+def learning_rate(step: int, settings: PhasePlanSpec) -> float:
     """Linear warmup to peak at step W = ceil(warmup_frac * T), linear decay to 0 at T."""
-    warmup = math.ceil(warmup_frac * total_steps)
-
-    def lr_at(step: int) -> float:
-        if step <= warmup:
-            return peak_lr * step / warmup
-        return peak_lr * (total_steps - step) / (total_steps - warmup)
-
-    return lr_at
+    warmup = math.ceil(settings.warmup_frac * settings.total_steps)
+    if step <= warmup:
+        return settings.peak_lr * step / warmup
+    return settings.peak_lr * (settings.total_steps - step) / (settings.total_steps - warmup)
 
 
 # ---------------------------------------------------------------------------
@@ -101,30 +92,18 @@ def make_schedule(total_steps: int, peak_lr: float, warmup_frac: float = 0.1):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OptimizerState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
-
-
-def init_optimizer(params: list[Tensor]) -> OptimizerState:
-    return OptimizerState(
-        m=[np.zeros_like(p.values) for p in params],
-        v=[np.zeros_like(p.values) for p in params],
-    )
-
-
 def adam_step(
     params: list[Tensor],
     grads: list[np.ndarray],
-    state: OptimizerState,
+    m: list[np.ndarray],
+    v: list[np.ndarray],
+    step: int,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """Bias-corrected Adam update number `step` (from 1) of params, m and v, in place."""
     if len(grads) != len(params):
         raise ValueError(f"got {len(grads)} grads for {len(params)} params")
     for i, g in enumerate(grads):
@@ -133,18 +112,16 @@ def adam_step(
         if not np.isfinite(g).all():
             raise ValueError(
                 f"non-finite gradient in parameter {i} "
-                f"(shape {g.shape}) at optimizer step {state.step + 1}"
+                f"(shape {g.shape}) at optimizer step {step}"
             )
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.values -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i *= beta1
+        m_i += (1.0 - beta1) * g
+        v_i *= beta2
+        v_i += (1.0 - beta2) * (g * g)
+        p.values -= lr * (m_i / c1) / (np.sqrt(v_i / c2) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +158,12 @@ def pad_batch(rows: list[tuple[PairedSample, str]]):
 
 @dataclass
 class TrainState:
+    """Plain data, each fact once: the trainable parameters, their Adam
+    moments, the steps taken and the plan's three RNG streams."""
+
     params: list[Tensor]
-    optimizer: OptimizerState
-    schedule: object
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     data_rng: np.random.Generator
     domain_rng: np.random.Generator
     dropout_rng: np.random.Generator
@@ -191,15 +171,12 @@ class TrainState:
 
 
 def make_train_state(model: TranscriberModel, plan: TrainPlan) -> TrainState:
-    if plan.phase == "finetune" and not model.adapters:
-        raise ValueError("finetune phase needs a model with adapters attached")
-    params = set_trainable(model, plan.phase)
-    settings = plan.settings
-    seqs = np.random.SeedSequence(settings.seed).spawn(3)
+    params = set_trainable(model)
+    seqs = np.random.SeedSequence(plan.settings.seed).spawn(3)
     return TrainState(
         params=params,
-        optimizer=init_optimizer(params),
-        schedule=make_schedule(settings.total_steps, settings.peak_lr, settings.warmup_frac),
+        m=[np.zeros_like(p.values) for p in params],
+        v=[np.zeros_like(p.values) for p in params],
         data_rng=np.random.default_rng(seqs[0]),
         domain_rng=np.random.default_rng(seqs[1]),
         dropout_rng=np.random.default_rng(seqs[2]),
@@ -221,12 +198,12 @@ def _losses(model, samples, plan, state):
     l_m = alt_loss(nm.narrow(logits, n_v, n), y_out[n_v:]) if n_v < n else None
 
     l_cns = None
-    if strategy == "cns":
-        e_v, e_m = nm.narrow(enc, 0, n_v), nm.narrow(enc, n_v, n)
-        l_cns = consistency_loss(e_v, e_m, plan.loss.cns_kind, frame_mask[:n_v])
-        total = combined_loss(l_v, l_m, l_cns, plan.loss.weight)
-    elif strategy == "both":
+    if strategy in ("both", "cns"):
         total = nm.scale(nm.add(l_v, l_m), 0.5)
+        if strategy == "cns":
+            e_v, e_m = nm.narrow(enc, 0, n_v), nm.narrow(enc, n_v, n)
+            l_cns = consistency_loss(e_v, e_m, plan.loss.cns_kind, frame_mask[:n_v])
+            total = nm.add(total, nm.scale(l_cns, float(plan.loss.weight)))
     elif l_v is not None and l_m is not None:
         tokens_v = int((y_out[:n_v] != PAD_ID).sum())
         tokens_m = int((y_out[n_v:] != PAD_ID).sum())
@@ -249,18 +226,20 @@ def train_step(
     """Zero grads, one forward/backward on the strategy loss, one Adam update;
     returns the step's log row."""
     step = state.step + 1
-    lr = state.schedule(step)
+    settings = plan.settings
+    lr = learning_rate(step, settings)
 
     zero_grads(state.params)
     total, losses = _losses(model, batch, plan, state)
     if not np.isfinite(losses["l_total"]):
         raise NonFiniteLossError(step, losses["l_total"])
     backward(total)
-    settings = plan.settings
     adam_step(
         state.params,
         [p.grad for p in state.params],
-        state.optimizer,
+        state.m,
+        state.v,
+        step,
         lr,
         settings.beta1,
         settings.beta2,
@@ -311,7 +290,7 @@ def run_experiment(
             except NonFiniteLossError as err:
                 hint = f"the steps before it are logged in {aborted}; no checkpoint was written"
                 base = model.base_file
-                if plan.phase == "finetune" and base is not None and os.path.exists(base.path):
+                if base is not None and os.path.exists(base.path):
                     hint += f"; restart from the base checkpoint {base.path}"
                 raise RuntimeError(f"{err}; {hint}") from err
             history.append(row)

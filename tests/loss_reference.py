@@ -13,11 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from voxmix import numerics as nm
-from voxmix.losses import alt_loss, combined_loss, consistency_loss
+from voxmix.losses import alt_loss, consistency_loss
 from voxmix.model import decode_batch, encode_batch
 from voxmix.numerics import Tensor, backward, zero_grads
 from voxmix.synthdata import PAD_ID
-from voxmix.training import adam_step, select_inputs
+from voxmix.training import adam_step, learning_rate, select_inputs
 
 
 def _pad_pairs(samples):
@@ -64,7 +64,7 @@ def _dual_losses(model, samples, plan, state):
     else:
         l_cns = Tensor(0.0)
         weight = 0.0
-    total = combined_loss(l_v, l_m, l_cns, weight)
+    total = nm.add(nm.scale(nm.add(l_v, l_m), 0.5), nm.scale(l_cns, float(weight)))
     losses = {
         "l_v": l_v.item(),
         "l_m": l_m.item(),
@@ -118,7 +118,8 @@ def reference_step(model, batch, plan, state) -> dict:
         total, losses = _single_domain_losses(model, batch, plan, state)
     backward(total)
     s = plan.settings
-    adam_step(state.params, [p.grad for p in state.params], state.optimizer,
-              state.schedule(step), s.beta1, s.beta2, s.eps)
+    lr = learning_rate(step, s)
+    adam_step(state.params, [p.grad for p in state.params], state.m, state.v, step,
+              lr, s.beta1, s.beta2, s.eps)
     state.step = step
-    return {"step": step, "lr": state.schedule(step), **losses}
+    return {"step": step, "lr": lr, **losses}

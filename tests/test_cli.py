@@ -161,7 +161,7 @@ def test_grid_with_a_bad_finetune_plan_writes_nothing(tmp_path):
     assert not out.exists()
 
 
-# spec-document edits whose corpus the model cannot take, and the refusal
+# spec-document edits whose corpus or decode limit the model cannot take, and the refusal
 CORPUS_MISFITS = [
     ({"gen": {"feature_dim": 8}},
      "pretrain corpus: gen.feature_dim 8 differs from model.feature_dim 16"),
@@ -175,6 +175,8 @@ CORPUS_MISFITS = [
      "tokens, over model.max_token_len 7"),
     ({"pretrain_gen_overrides": {"gain": 0.0}},
      r"unknown fields in pretrain_gen_overrides: \['gain'\]"),
+    ({"decode": {"max_tokens": 49}},
+     "decode.max_tokens 49 exceeds model.max_token_len 48"),
 ]
 
 
@@ -194,9 +196,11 @@ def test_grid_with_a_corpus_the_model_cannot_take_writes_nothing(tmp_path, edits
 
 
 def test_spec_accepts_a_corpus_at_the_model_limits():
-    # the default segments: at most 7 characters, 21 frames and 8 decoder inputs
+    # the default segments: at most 7 characters, 21 frames and 8 decoder inputs;
+    # decoding then stops at 8 tokens
     spec = micro_spec("x")
-    replace(spec, model=replace(spec.model, max_audio_frames=21, max_token_len=8))
+    replace(spec, model=replace(spec.model, max_audio_frames=21, max_token_len=8),
+            decode=DecodeConfig(max_tokens=8))
 
 
 def test_spec_refuses_negative_seeds():
@@ -215,6 +219,20 @@ def test_spec_refuses_a_finetune_seed_it_would_ignore(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
         load_spec(path)
+
+
+def test_spec_refuses_a_consistency_setting_its_strategy_ignores(tmp_path):
+    out = tmp_path / "out"
+    doc = spec_to_doc(micro_spec(str(out)))
+    doc["strategies"][0].update(weight=0.5)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    message = "strategy 'voc' takes no weight: it applies to cns only, got weight=0.5"
+    with pytest.raises(ValueError, match=message):
+        load_spec(path)
+    with pytest.raises(ValueError, match=message):
+        main(["grid", "--spec", str(path)])
+    assert not out.exists()
 
 
 def test_gen_data_is_deterministic_and_split_disjoint(tmp_path):
@@ -397,7 +415,7 @@ def test_parallel_worker_reads_the_base_and_each_split_once(grid_out, tmp_path, 
 
     reads = _record_reads(monkeypatch, copy)
     monkeypatch.setattr(cli, "_worker", {})
-    cli._init_worker(spec_to_doc(spec), str(copy))
+    cli._init_worker(spec, str(copy))
     for cell_id, seed in units:
         cli._finetune_worker(cell_id, seed)
     for cell in cells:

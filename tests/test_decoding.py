@@ -47,13 +47,13 @@ def trained(clean_cfg, tmp_path_factory):
     corpus = build_corpus(clean_cfg, songs_per_language=64, seed_base=0)
     model = build_model(ModelConfig(), seed=0)
     run_experiment(
-        TrainPlan("pretrain", LossConfig(strategy="voc"),
+        TrainPlan(LossConfig(strategy="voc"),
                   PhasePlanSpec(peak_lr=3e-3, total_steps=700, batch_size=8, seed=1)),
         corpus, model, tmp / "pre.jsonl",
     )
     attach_adapters(model, 4, 4.0, 0.1, seed=2)
     run_experiment(
-        TrainPlan("finetune", LossConfig(strategy="voc"),
+        TrainPlan(LossConfig(strategy="voc"),
                   PhasePlanSpec(peak_lr=1e-3, total_steps=200, batch_size=8, seed=3)),
         corpus, model, tmp / "ft.jsonl",
     )
@@ -108,6 +108,10 @@ def test_greedy_decode_caps_output_length(cfg):
     tokens = transcribe_batch(model, [x], cfg)[0]
     assert len(tokens) == cfg.max_tokens
     assert EOS_ID not in tokens[1:]
+    # a limit past the model's is refused, not cut to it
+    limit = model.config.max_token_len
+    with pytest.raises(ValueError, match=f"max_tokens {limit + 1} exceeds the model's max_token_len {limit}"):
+        transcribe_batch(model, [x], DecodeConfig(max_tokens=limit + 1))
 
 
 def test_trained_model_transcribes_held_out_clean_sample(trained, clean_cfg, cfg):
@@ -178,7 +182,6 @@ def token_prefixes(model, bsz, length, seed):
 def full_recompute_greedy(model, windows, cfg):
     """The greedy loop with no cache: each step reruns the decoder over the whole prefix."""
     feats, mask = pad_frames(windows)
-    limit = min(cfg.max_tokens, model.config.max_token_len)
     y = np.full((len(windows), 1), BOS_ID, dtype=np.int64)
     done = np.zeros(len(windows), dtype=bool)
     with nm.no_grad():
@@ -188,7 +191,7 @@ def full_recompute_greedy(model, windows, cfg):
             nxt = np.where(done, PAD_ID, nxt)
             y = np.concatenate([y, nxt[:, None]], axis=1)
             done |= nxt == EOS_ID
-            if done.all() or y.shape[1] >= limit:
+            if done.all() or y.shape[1] >= cfg.max_tokens:
                 break
     return [[int(t) for t in row if t != PAD_ID] for row in y]
 
@@ -284,10 +287,12 @@ def test_decode_logits_without_graph_equal_recorded_logits(trained, clean_cfg):
 
 @pytest.mark.parametrize("phase", [None, "pretrain", "finetune"])
 def test_transcribe_batch_leaves_requires_grad_flags_as_they_were(clean_cfg, cfg, phase):
+    # pretrain: a plain model trains its base weights; otherwise it has adapters
     model = build_model(ModelConfig(), seed=7)
-    attach_adapters(model, 4, 4.0, 0.1, seed=8)
+    if phase != "pretrain":
+        attach_adapters(model, 4, 4.0, 0.1, seed=8)
     if phase is not None:
-        set_trainable(model, phase)
+        set_trainable(model)
 
     def flags():
         adapters = (getattr(ad, f) for ad in model.adapters.values() for f in ("a", "b"))

@@ -46,6 +46,15 @@ def test_write_that_raises_partway_keeps_what_it_wrote_as_the_partial_file(tmp_p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "m.jsonl.aborted"]
 
 
+def test_completed_write_removes_the_partial_file_of_an_earlier_failure(tmp_path):
+    path, partial = tmp_path / "m.jsonl", tmp_path / "m.jsonl.aborted"
+    partial.write_text("step 1\n")
+    with atomic_write(path, partial=partial) as fh:
+        fh.write("step 1\nstep 2\n")
+    assert path.read_text() == "step 1\nstep 2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl"]
+
+
 def test_write_replaces_a_temporary_file_left_by_a_killed_writer(tmp_path):
     (tmp_path / ".report.csv.tmp").write_text("stale half of a file")
     with atomic_write(tmp_path / "report.csv") as fh:

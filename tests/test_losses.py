@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdcheck import assert_grads_match
-from voxmix.losses import LossConfig, alt_loss, combined_loss, consistency_loss
+from voxmix.losses import LossConfig, alt_loss, consistency_loss
 from voxmix.numerics import Tensor, backward, cross_entropy
 from voxmix.synthdata import PAD_ID
 
@@ -17,6 +17,13 @@ def test_loss_config_validation():
         LossConfig(strategy="cns", cns_kind="l2")
     with pytest.raises(ValueError, match=">= 0"):
         LossConfig(strategy="cns", weight=-1.0)
+    # the consistency settings of a strategy without the consistency term
+    for strategy in ("voc", "mix", "random", "both"):
+        LossConfig(strategy=strategy, cns_kind="L2", weight=1.0)
+        with pytest.raises(ValueError, match=f"strategy '{strategy}' takes no weight: .* got weight=0.5"):
+            LossConfig(strategy=strategy, weight=0.5)
+        with pytest.raises(ValueError, match=f"strategy '{strategy}' takes no cns_kind: .* got cns_kind='L1'"):
+            LossConfig(strategy=strategy, cns_kind="L1")
 
 
 def test_alt_loss_uniform_logits():
@@ -157,39 +164,3 @@ def test_consistency_matches_finite_differences(kind):
         mask = rng.random(4) < 0.75
         mask[0] = True
         assert_grads_match(lambda: consistency_loss(a, b, kind, mask), [a, b])
-
-
-# ---------------------------------------------------------------------------
-# combined loss
-# ---------------------------------------------------------------------------
-
-
-def test_combined_loss_substitution():
-    out = combined_loss(Tensor(2.0), Tensor(4.0), Tensor(0.5), 1.0)
-    assert out.item() == pytest.approx(3.5, abs=1e-15)
-
-
-def test_combined_loss_weight_zero_is_plain_average():
-    out = combined_loss(Tensor(1.0), Tensor(3.0), Tensor(123.0), 0.0)
-    assert out.item() == pytest.approx(2.0, abs=1e-15)
-
-
-def test_combined_loss_zero_consistency():
-    assert combined_loss(Tensor(1.0), Tensor(1.0), Tensor(0.0), 10.0).item() == 1.0
-
-
-def test_combined_loss_monotone_in_each_argument():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        v, m, c = rng.random(3) * 4.0
-        w = float(rng.random() * 5.0)
-        base = combined_loss(Tensor(v), Tensor(m), Tensor(c), w).item()
-        eps = 0.25
-        assert combined_loss(Tensor(v + eps), Tensor(m), Tensor(c), w).item() >= base
-        assert combined_loss(Tensor(v), Tensor(m + eps), Tensor(c), w).item() >= base
-        assert combined_loss(Tensor(v), Tensor(m), Tensor(c + eps), w).item() >= base
-
-
-def test_combined_loss_rejects_negative_weight():
-    with pytest.raises(ValueError, match=">= 0"):
-        combined_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), -0.5)

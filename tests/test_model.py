@@ -21,6 +21,7 @@ from voxmix.model import (
     load_checkpoint,
     save_checkpoint,
     share_base,
+    set_trainable,
     trainable_parameters,
 )
 from voxmix.numerics import Tensor, backward, zero_grads
@@ -243,14 +244,18 @@ def test_trainable_parameter_counts(base_model, adapted_model, config):
     h = config.hidden_dim
     n_attentions = config.encoder_layers + 2 * config.decoder_layers
     expected = n_attentions * 2 * 4 * (h + h)  # rank * (d_in + d_out) per adapted matrix
-    finetune = trainable_parameters(adapted_model, "finetune")
+    # an adapted model trains exactly its adapters
+    finetune = set_trainable(adapted_model)
+    adapters = [t for ad in adapted_model.adapters.values() for t in (ad.a, ad.b)]
+    assert sorted(map(id, finetune)) == sorted(map(id, adapters))
     assert sum(p.values.size for p in finetune) == expected
-    assert trainable_parameters(base_model, "finetune") == []
+    assert all(t.requires_grad for t in adapters)
+    assert not any(p.requires_grad for p in adapted_model.params.values())
 
-    pretrain = trainable_parameters(adapted_model, "pretrain")
-    assert len(pretrain) == len(adapted_model.params)
-    with pytest.raises(ValueError, match="phase"):
-        trainable_parameters(base_model, "warmup")
+    # a plain model trains every base weight
+    pretrain = set_trainable(base_model)
+    assert list(map(id, pretrain)) == [id(base_model.params[name]) for name in sorted(base_model.params)]
+    assert all(p.requires_grad for p in pretrain)
 
 
 def test_adapters_sit_on_the_adapted_projections_of_every_attention(adapted_model):
@@ -268,7 +273,7 @@ def test_manual_finetune_update_keeps_base_digest(adapted_model, config):
     logits = decode_one(adapted_model, enc, y[:-1], train_mode=True, rng=np.random.default_rng(2))
     loss = nm.cross_entropy(logits, y[None, 1:], ignore_index=0)
     backward(loss)
-    params = trainable_parameters(adapted_model, "finetune")
+    params = trainable_parameters(adapted_model)
     for p in params:
         assert p.grad is not None
         p.values -= 0.05 * p.grad

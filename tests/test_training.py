@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from dataclasses import replace
@@ -21,12 +22,10 @@ from voxmix.numerics import Tensor
 from voxmix.synthdata import GenConfig, build_corpus
 from voxmix.training import (
     NonFiniteLossError,
-    OptimizerState,
     PhasePlanSpec,
     TrainPlan,
     adam_step,
-    init_optimizer,
-    make_schedule,
+    learning_rate,
     make_train_state,
     pad_batch,
     run_experiment,
@@ -41,11 +40,11 @@ from voxmix.training import (
 
 
 def test_schedule_formula_points():
-    lr = make_schedule(100, 1e-3, 0.1)
-    assert lr(10) == pytest.approx(1e-3, abs=1e-18)
-    assert lr(0) == 0.0
-    assert lr(100) == 0.0
-    assert lr(55) == pytest.approx(1e-3 * 45 / 90, abs=1e-18)
+    settings = PhasePlanSpec(peak_lr=1e-3, total_steps=100, batch_size=1, warmup_frac=0.1)
+    assert learning_rate(10, settings) == pytest.approx(1e-3, abs=1e-18)
+    assert learning_rate(0, settings) == 0.0
+    assert learning_rate(100, settings) == 0.0
+    assert learning_rate(55, settings) == pytest.approx(1e-3 * 45 / 90, abs=1e-18)
 
 
 def test_schedule_piecewise_linear_and_single_peak():
@@ -54,9 +53,9 @@ def test_schedule_piecewise_linear_and_single_peak():
         total = int(rng.integers(10, 500))
         frac = float(rng.uniform(0.05, 0.5))
         peak = float(rng.uniform(1e-4, 1e-2))
-        lr = make_schedule(total, peak, frac)
+        settings = PhasePlanSpec(peak_lr=peak, total_steps=total, batch_size=1, warmup_frac=frac)
         warmup = math.ceil(frac * total)
-        values = [lr(s) for s in range(total + 1)]
+        values = [learning_rate(s, settings) for s in range(total + 1)]
         assert values[0] == 0.0
         assert values[warmup] == pytest.approx(peak, rel=1e-12)
         assert values[total] == pytest.approx(0.0, abs=1e-18)
@@ -75,32 +74,29 @@ def test_schedule_piecewise_linear_and_single_peak():
 
 def test_adam_first_step_direction():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    state = init_optimizer([p])
     g = np.array([0.3])
-    adam_step([p], [g], state, lr=0.01)
+    adam_step([p], [g], [np.zeros(1)], [np.zeros(1)], 1, lr=0.01)
     # bias-corrected first step is about -lr * sign(g)
     assert p.values[0] == pytest.approx(1.0 - 0.01 * 0.3 / (abs(0.3) + 1e-8), rel=1e-6)
 
 
 def test_adam_zero_gradient_keeps_parameter():
     p = Tensor(np.array([2.0]), requires_grad=True)
-    state = init_optimizer([p])
-    adam_step([p], [np.zeros(1)], state, lr=0.5)
+    adam_step([p], [np.zeros(1)], [np.zeros(1)], [np.zeros(1)], 1, lr=0.5)
     assert p.values[0] == 2.0
 
 
 def test_adam_rejects_non_finite_gradients():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    state = init_optimizer([p])
-    with pytest.raises(ValueError, match="non-finite gradient"):
-        adam_step([p], [np.array([np.nan])], state, lr=0.1)
+    with pytest.raises(ValueError, match="non-finite gradient .* at optimizer step 3"):
+        adam_step([p], [np.array([np.nan])], [np.zeros(1)], [np.zeros(1)], 3, lr=0.1)
 
 
 def test_adam_five_step_trace_matches_hand_recurrence():
     # minimize f(x) = x^2 from x = 1: grad = 2x
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
     p = Tensor(np.array([1.0]), requires_grad=True)
-    state = init_optimizer([p])
+    moments = [np.zeros(1)], [np.zeros(1)]
 
     x = 1.0
     m = 0.0
@@ -116,9 +112,9 @@ def test_adam_five_step_trace_matches_hand_recurrence():
         expected.append(x)
 
     got = []
-    for _ in range(5):
+    for t in range(1, 6):
         grad = 2.0 * p.values.copy()
-        adam_step([p], [grad], state, lr, b1, b2, eps)
+        adam_step([p], [grad], *moments, t, lr, b1, b2, eps)
         got.append(float(p.values[0]))
 
     for a, b in zip(got, expected):
@@ -130,10 +126,10 @@ def test_adam_scale_consistency_property():
     rng = np.random.default_rng(1)
     p1 = Tensor(np.array([0.7]), requires_grad=True)
     p2 = Tensor(np.array([0.7]), requires_grad=True)
-    state = init_optimizer([p1, p2])
-    for _ in range(10):
+    m, v = [np.zeros(1), np.zeros(1)], [np.zeros(1), np.zeros(1)]
+    for t in range(1, 11):
         g = rng.standard_normal(1)
-        adam_step([p1, p2], [g, g.copy()], state, lr=0.05)
+        adam_step([p1, p2], [g, g.copy()], m, v, t, lr=0.05)
         assert p1.values[0] == p2.values[0]
 
 
@@ -197,12 +193,12 @@ def tiny_corpus(gen_cfg):
 
 def finetune_plan(strategy, steps=10, cns_kind="L2", weight=1.0):
     loss = LossConfig(strategy=strategy, cns_kind=cns_kind, weight=weight)
-    return TrainPlan("finetune", loss, PhasePlanSpec(peak_lr=1e-3, total_steps=steps, batch_size=8, seed=11))
+    return TrainPlan(loss, PhasePlanSpec(peak_lr=1e-3, total_steps=steps, batch_size=8, seed=11))
 
 
 def pretrain_plan(steps, batch_size=4, seed=0):
     settings = PhasePlanSpec(peak_lr=3e-3, total_steps=steps, batch_size=batch_size, seed=seed)
-    return TrainPlan("pretrain", LossConfig(strategy="voc"), settings)
+    return TrainPlan(LossConfig(strategy="voc"), settings)
 
 
 def adapted(seed=0, dropout=0.1):
@@ -213,11 +209,17 @@ def adapted(seed=0, dropout=0.1):
 
 def test_train_step_cns_breakdown_satisfies_combination_exactly(tiny_corpus):
     model = adapted()
-    plan = finetune_plan("cns", weight=0.7)
-    state = make_train_state(model, plan)
-    row = train_step(model, tiny_corpus[:4], plan, state)
-    assert row["l_total"] == (row["l_v"] + row["l_m"]) / 2 + 0.7 * row["l_cns"]
-    assert row["l_cns"] > 0.0
+    both = finetune_plan("both")
+    average = train_step(model, tiny_corpus[:4], both, make_train_state(model, both))["l_total"]
+    for weight in (0.0, 0.7, 10.0):
+        model = adapted()
+        plan = finetune_plan("cns", weight=weight)
+        state = make_train_state(model, plan)
+        row = train_step(model, tiny_corpus[:4], plan, state)
+        assert row["l_total"] == (row["l_v"] + row["l_m"]) / 2 + weight * row["l_cns"]
+        assert row["l_cns"] > 0.0
+        if weight == 0.0:  # the both average, bit for bit
+            assert row["l_total"] == average
 
 
 def test_train_step_both_with_zero_interference_degenerates(gen_cfg):
@@ -231,9 +233,11 @@ def test_train_step_both_with_zero_interference_degenerates(gen_cfg):
     assert row["l_total"] == (row["l_v"] + row["l_m"]) / 2
     assert row["l_cns"] is None
 
-    plan_cns = finetune_plan("cns")
+    plan_cns = finetune_plan("cns", weight=10.0)
     state = make_train_state(model, plan_cns)
-    assert train_step(model, corpus[:4], plan_cns, state)["l_cns"] == 0.0
+    row = train_step(model, corpus[:4], plan_cns, state)
+    assert row["l_cns"] == 0.0
+    assert row["l_total"] == (row["l_v"] + row["l_m"]) / 2
 
 
 def test_train_step_single_domain_breakdown(tiny_corpus):
@@ -241,7 +245,7 @@ def test_train_step_single_domain_breakdown(tiny_corpus):
     plan = finetune_plan("voc")
     state = make_train_state(model, plan)
     row = train_step(model, tiny_corpus[:4], plan, state)
-    assert row == {"step": 1, "lr": state.schedule(1), "l_v": row["l_v"], "l_m": None,
+    assert row == {"step": 1, "lr": learning_rate(1, plan.settings), "l_v": row["l_v"], "l_m": None,
                    "l_cns": None, "l_total": row["l_v"]}
 
 
@@ -289,9 +293,10 @@ def test_pad_batch_masks(tiny_corpus):
 )
 def test_one_loss_path_equals_the_two_path_reference(tiny_corpus, phase, strategy, cns_kind, weight):
     # the parent's stacked dual path and per-pick single path, bit for bit:
-    # log row, every trainable gradient and the updated weights
+    # log row, every trainable gradient and the updated weights; the phase
+    # picks the model, which decides what trains
     loss = LossConfig(strategy=strategy, cns_kind=cns_kind, weight=weight)
-    plan = TrainPlan(phase, loss, PhasePlanSpec(peak_lr=1e-3, total_steps=10, batch_size=8, seed=5))
+    plan = TrainPlan(loss, PhasePlanSpec(peak_lr=1e-3, total_steps=10, batch_size=8, seed=5))
     sides = []
     for _ in range(2):
         model = adapted() if phase == "finetune" else build_model(ModelConfig(), seed=0)
@@ -342,10 +347,18 @@ def test_run_experiment_pretrain_moves_base_finetune_does_not(tiny_corpus, tmp_p
     assert base_digest(model) == digest1
 
 
-def test_run_experiment_requires_adapters_for_finetune(tiny_corpus, tmp_path):
+@pytest.mark.parametrize("adapters", [False, True], ids=["plain", "adapted"])
+def test_run_experiment_trains_what_the_model_holds(tiny_corpus, tmp_path, adapters):
+    # the plan names no phase: a plain model trains its base weights under a
+    # fine-tune strategy too, an adapted one only its adapters under pretrain settings
     model = build_model(ModelConfig(), seed=2)
-    with pytest.raises(ValueError, match="adapters"):
-        run_experiment(finetune_plan("voc"), tiny_corpus, model, tmp_path / "x.jsonl")
+    if adapters:
+        attach_adapters(model, 4, 4.0, 0.1, seed=9)
+    digest = base_digest(model)
+    plan = pretrain_plan(3) if adapters else finetune_plan("both", steps=3)
+    run_experiment(plan, tiny_corpus, model, tmp_path / "m.jsonl")
+    assert (base_digest(model) == digest) == adapters
+    assert any(ad.b.values.any() for ad in model.adapters.values()) == adapters
 
 
 def test_metrics_log_schema(tiny_corpus, tmp_path):
@@ -416,6 +429,12 @@ def test_nan_abort_keeps_the_partial_log_beside_the_previous_one(tiny_corpus, tm
     assert [json.loads(line)["step"] for line in aborted.read_text().splitlines()] == [1, 2]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "m.jsonl.aborted"]
 
+    # a rerun that completes leaves no partial log of the failed one beside its own
+    monkeypatch.undo()
+    run_experiment(plan, tiny_corpus, build_model(ModelConfig(), seed=2), log)
+    assert [json.loads(line)["step"] for line in log.read_text().splitlines()] == [1, 2, 3, 4]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl"]
+
 
 def test_write_to_shared_base_during_finetune_raises(tiny_corpus, tmp_path):
     path = tmp_path / "base.json"
@@ -427,10 +446,10 @@ def test_write_to_shared_base_during_finetune_raises(tiny_corpus, tmp_path):
     run_experiment(finetune_plan("cns", steps=3), tiny_corpus, model, tmp_path / "ft.jsonl")
     assert base_digest(base) == digest
 
-    # an optimizer that also stepped the base weights would write into the shared arrays
-    plan = pretrain_plan(3)
+    # without adapters the model trains every base weight, which would write
+    # into the shared arrays
     with pytest.raises(ValueError, match="read-only"):
-        run_experiment(plan, tiny_corpus, model, tmp_path / "pre.jsonl")
+        run_experiment(pretrain_plan(3), tiny_corpus, share_base(base), tmp_path / "pre.jsonl")
     assert base_digest(base) == digest
 
 
@@ -455,10 +474,31 @@ def test_finetune_loss_drops_at_desk_scale(gen_cfg, tiny_corpus, tmp_path):
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError, match="warmup"):
-        TrainPlan("finetune", LossConfig(), PhasePlanSpec(1e-3, 10, 8, warmup_frac=0.0))
-    with pytest.raises(ValueError, match="phase"):
-        TrainPlan("train", LossConfig(), PhasePlanSpec(1e-3, 10, 8))
+    with pytest.raises(ValueError, match="training plan: warmup_frac must be in"):
+        TrainPlan(LossConfig(), PhasePlanSpec(1e-3, 10, 8, warmup_frac=0.0))
+
+
+def test_a_run_continues_bit_for_bit_from_a_copy_of_its_train_state(tiny_corpus):
+    # besides the batch, a step reads and writes only the model's trainable
+    # tensors and the TrainState, so a copy of both resumes the run exactly
+    plan = finetune_plan("random", steps=6)
+    batches = training._batches(tiny_corpus, 8, np.random.default_rng(0))
+    batches = [next(batches) for _ in range(5)]
+    model = adapted()
+    state = make_train_state(model, plan)
+    for batch in batches[:3]:
+        train_step(model, batch, plan, state)
+    saved = copy.deepcopy(state)
+    want = [train_step(model, batch, plan, state) for batch in batches[3:]]
+
+    resumed_model = adapted()
+    fresh = make_train_state(resumed_model, plan)
+    for p, q in zip(fresh.params, saved.params):
+        p.values[...] = q.values
+    resumed = replace(saved, params=fresh.params)
+    assert [train_step(resumed_model, batch, plan, resumed) for batch in batches[3:]] == want
+    for p, q in zip(resumed.params, state.params):
+        assert p.values.tobytes() == q.values.tobytes()
 
 
 def test_data_rng_deterministic():
