@@ -4,12 +4,12 @@ decoding, and WER reporting over a strategy x seed grid.
 Subcommands: gen-data, pretrain, finetune, decode, eval, and grid (runs
 everything). A single JSON spec file pins every knob so a rerun
 reproduces all emitted files byte for byte; grid cells are independent
-jobs and may run in parallel worker processes. The spec's pretrain and
-finetune plans (`training.PhasePlanSpec`) are checked when the spec is
-built, so a setting training cannot use stops a command before it writes
-anything; each phase then trains on `TrainPlan(loss, plan)`, and the
-model's adapters, if any, say what trains. Each split's corpus config and
-the decode token limit are checked against the model there too.
+jobs and may run in parallel worker processes. Each setting is checked
+when the spec is built, by the class that owns it (`training.PhasePlanSpec`,
+`model.LoraSpec`) or against the model and splits by `ExperimentSpec`, so a
+setting that would fail later stops a command before it writes anything;
+`load_spec` names the file it cannot read. Each phase trains on
+`TrainPlan(loss, plan)`; the model's adapters, if any, say what trains.
 
 An output directory holds corpora/<split>.jsonl, checkpoints/pretrain.json
 (the full pretrained model) with its metrics log, one cells/<id>_s<seed>/
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
@@ -40,6 +41,7 @@ from voxmix.evaluation import CONDITIONS, aggregate, comparison_markdown, report
 from voxmix.files import atomic_write
 from voxmix.losses import LossConfig
 from voxmix.model import (
+    LoraSpec,
     ModelConfig,
     TranscriberModel,
     attach_adapters,
@@ -65,13 +67,6 @@ PRETRAINED_CELL = "pretrained"
 class StrategyCell:
     cell_id: str
     loss: LossConfig
-
-
-@dataclass
-class LoraSpec:
-    rank: int = 4
-    alpha: float = 4.0
-    dropout: float = 0.1
 
 
 @dataclass
@@ -105,11 +100,13 @@ class ExperimentSpec:
             raise ValueError(
                 f"pretrain seed {self.pretrain.seed} is not in the seeds list {self.seeds}"
             )
-        missing = set(SPLITS) - set(self.corpus_songs)
-        if missing:
-            raise ValueError(f"corpus_songs missing splits: {sorted(missing)}")
+        if set(self.corpus_songs) != set(SPLITS):
+            raise ValueError(f"corpus_songs must name the splits {list(SPLITS)}, "
+                             f"got {sorted(self.corpus_songs)}")
         _check_known(GenConfig, self.pretrain_gen_overrides, "pretrain_gen_overrides")
         for split in SPLITS:
+            if self.corpus_songs[split] < 1:
+                raise ValueError(f"corpus_songs.{split} must be >= 1, got {self.corpus_songs[split]!r}")
             _check_corpus_feeds_model(_split_gen(self, split), self.model, split)
         if self.decode.max_tokens > self.model.max_token_len:
             raise ValueError(f"decode.max_tokens {self.decode.max_tokens} exceeds "
@@ -166,7 +163,7 @@ def default_spec(out_dir: str = "runs/default") -> ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# spec (de)serialization with strict keys
+# spec (de)serialization with strict keys and scalar types
 # ---------------------------------------------------------------------------
 
 
@@ -178,6 +175,10 @@ def _check_known(cls, doc: dict, where: str) -> None:
 
 def _strict(cls, doc: dict, where: str):
     _check_known(cls, doc, where)
+    for name, want in typing.get_type_hints(cls).items():
+        ok = {int: (int,), float: (int, float), str: (str,)}.get(want)
+        if name in doc and ok and (isinstance(doc[name], bool) or not isinstance(doc[name], ok)):
+            raise TypeError(f"{where}.{name} must be {want.__name__}, got {doc[name]!r}")
     return cls(**doc)
 
 
@@ -213,8 +214,12 @@ def spec_from_doc(doc: dict) -> ExperimentSpec:
 
 
 def load_spec(path) -> ExperimentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_doc(json.load(fh))
+    """The spec at `path`; a file that does not hold a whole spec raises a ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return spec_from_doc(json.load(fh))
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as err:
+        raise ValueError(f"{path}: malformed spec ({type(err).__name__}: {err})") from err
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:
@@ -328,7 +333,7 @@ def cmd_finetune(
     model = share_base(base if base is not None else _load_base(out))
 
     adapter_seed = int(np.random.SeedSequence([seed, zlib.crc32(cell_id.encode())]).generate_state(1)[0])
-    attach_adapters(model, spec.lora.rank, spec.lora.alpha, spec.lora.dropout, seed=adapter_seed)
+    attach_adapters(model, spec.lora, seed=adapter_seed)
     cdir = cell_dir(out, cell_id, seed)
     cdir.mkdir(parents=True, exist_ok=True)
     run_experiment(
@@ -469,8 +474,7 @@ def cmd_eval(spec: ExperimentSpec, out: Path) -> None:
 _worker: dict = {}
 
 
-def _init_worker(spec: ExperimentSpec, out_dir: str) -> None:
-    out = Path(out_dir)
+def _init_worker(spec: ExperimentSpec, out: Path) -> None:
     _worker.clear()
     _worker.update(spec=spec, out=out, base=_load_base(out), splits={})
 
@@ -505,8 +509,7 @@ def cmd_grid(spec: ExperimentSpec, out: Path, jobs: int = 1) -> None:
             cmd_finetune(spec, out, cell_id, seed, base=base, train=train)
         cmd_decode(spec, out, base=base)
     else:
-        init = (spec, str(out))
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=init) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(spec, out)) as pool:
             list(pool.map(_finetune_worker, [c for c, _ in units], [s for _, s in units]))
             list(pool.map(_decode_worker, all_cells(spec)))
     cmd_eval(spec, out)

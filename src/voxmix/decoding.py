@@ -29,7 +29,7 @@ from voxmix.synthdata import BOS_ID, EOS_ID, PAD_ID
 
 @dataclass
 class DecodeConfig:
-    max_tokens: int = 48  # includes BOS and EOS
+    max_tokens: int  # includes BOS and EOS
 
     def __post_init__(self):
         if self.max_tokens < 2:

@@ -28,16 +28,15 @@ class WerDetail:
     deletions: int
     insertions: int
     ref_words: int
-    wer: float
 
     @property
     def errors(self) -> int:
         return self.substitutions + self.deletions + self.insertions
 
-
-def _wer_rate(errors: int, ref_words: int) -> float:
-    # ref_words == 0 is flagged by the field itself; report the raw count
-    return errors / ref_words if ref_words > 0 else float(errors)
+    @property
+    def wer(self) -> float:
+        # ref_words == 0 is flagged by the field itself; report the raw count
+        return self.errors / self.ref_words if self.ref_words > 0 else float(self.errors)
 
 
 def wer(ref: str, hyp: str) -> WerDetail:
@@ -75,13 +74,7 @@ def wer(ref: str, hyp: str) -> WerDetail:
     deletions = (d_plus_i + n - m) // 2
     insertions = d_plus_i - deletions
     substitutions = cost - d_plus_i
-    return WerDetail(
-        substitutions=substitutions,
-        deletions=deletions,
-        insertions=insertions,
-        ref_words=n,
-        wer=_wer_rate(cost, n),
-    )
+    return WerDetail(substitutions, deletions, insertions, n)
 
 
 def aggregate(details: dict[tuple[str, str], WerDetail], subset_map: dict[str, str]) -> dict:
@@ -99,10 +92,7 @@ def aggregate(details: dict[tuple[str, str], WerDetail], subset_map: dict[str, s
             acc[1] += d.deletions
             acc[2] += d.insertions
             acc[3] += d.ref_words
-    return {
-        key: WerDetail(s, dl, ins, ref, _wer_rate(s + dl + ins, ref))
-        for key, (s, dl, ins, ref) in sums.items()
-    }
+    return {key: WerDetail(*counts) for key, counts in sums.items()}
 
 
 def report_csv(pooled: dict[tuple[str, str], WerDetail]) -> str:

@@ -3,9 +3,10 @@
 Pre-LN transformer blocks at desk scale: an input projection plus
 sinusoidal positions feed self-attention encoder blocks; the decoder uses
 causal self-attention and cross-attention over the encoder output. LoRA
-adapters attach to the `ADAPTED` projections (query and value) of every
-attention and, once attached, are the model's only trainable weights.
-With all adapter B matrices at zero the forward pass is bit-identical.
+adapters, set by a `LoraSpec`, attach to the `ADAPTED` projections (query
+and value) of every attention and, once attached, are the model's only
+trainable weights. With all adapter B matrices at zero the forward pass
+is bit-identical.
 
 The forward pass has two entry points, `encode_batch` and `decode_batch`.
 Both take padded arrays with validity masks, as `pad_frames` lays them
@@ -73,14 +74,32 @@ class ModelConfig:
 
 
 @dataclass
+class LoraSpec:
+    """Adapter settings, checked here: delta rank, scale alpha / rank, train-mode branch dropout."""
+
+    rank: int = 4
+    alpha: float = 4.0
+    dropout: float = 0.1
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError(f"lora.rank must be >= 1, got {self.rank!r}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"lora.dropout must be in [0, 1), got {self.dropout!r}")
+
+
+@dataclass
 class LoraAdapter:
     """Low-rank delta (alpha/rank) * B @ A on a frozen weight matrix."""
 
     a: Tensor  # (rank, d_in)
     b: Tensor  # (d_out, rank)
-    rank: int
     alpha: float
     dropout: float
+
+    @property
+    def rank(self) -> int:
+        return self.a.values.shape[0]
 
     @property
     def scaling(self) -> float:
@@ -133,93 +152,69 @@ def _sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 
 def _param_layout(config: ModelConfig) -> dict[str, tuple[str, tuple[int, ...]]]:
     """Base weight name -> (init kind, shape), in initialisation order."""
+    h, v = config.hidden_dim, config.vocab_size
     layout: dict[str, tuple[str, tuple[int, ...]]] = {}
 
-    def entry(kind):
-        def add(name, shape):
-            layout[name] = (kind, shape)
+    def ln(name):
+        layout[f"{name}.g"] = ("ones", (h,))
+        layout[f"{name}.b"] = ("zeros", (h,))
 
-        return add
+    def block(prefix, attentions):  # ln{j} before attention j, then the MLP's ln
+        for j, kind in enumerate(attentions, start=1):
+            ln(f"{prefix}.ln{j}")
+            for m in ("wq", "wk", "wv", "wo"):
+                layout[f"{prefix}.{kind}.{m}"] = ("weight", (h, h))
+            for m in ("bq", "bk", "bv", "bo"):
+                layout[f"{prefix}.{kind}.{m}"] = ("zeros", (h,))
+        ln(f"{prefix}.ln{len(attentions) + 1}")
+        layout[f"{prefix}.mlp.w1"] = ("weight", (4 * h, h))
+        layout[f"{prefix}.mlp.b1"] = ("zeros", (4 * h,))
+        layout[f"{prefix}.mlp.w2"] = ("weight", (h, 4 * h))
+        layout[f"{prefix}.mlp.b2"] = ("zeros", (h,))
 
-    weight, zeros, ones = entry("weight"), entry("zeros"), entry("ones")
-    h, f, v = config.hidden_dim, config.feature_dim, config.vocab_size
-    weight("enc.in.w", (h, f))
-    zeros("enc.in.b", (h,))
+    layout["enc.in.w"] = ("weight", (h, config.feature_dim))
+    layout["enc.in.b"] = ("zeros", (h,))
     for i in range(config.encoder_layers):
-        _init_attention(weight, zeros, ones, f"enc.{i}", h, cross=False)
-    ones("enc.ln_out.g", (h,))
-    zeros("enc.ln_out.b", (h,))
-
-    weight("dec.tok", (v, h))
-    weight("dec.pos", (config.max_token_len, h))
+        block(f"enc.{i}", ["attn"])
+    ln("enc.ln_out")
+    layout["dec.tok"] = ("weight", (v, h))
+    layout["dec.pos"] = ("weight", (config.max_token_len, h))
     for i in range(config.decoder_layers):
-        _init_attention(weight, zeros, ones, f"dec.{i}", h, cross=True)
-    ones("dec.ln_out.g", (h,))
-    zeros("dec.ln_out.b", (h,))
-    weight("dec.out.w", (v, h))
-    zeros("dec.out.b", (v,))
+        block(f"dec.{i}", ["self", "cross"])
+    ln("dec.ln_out")
+    layout["dec.out.w"] = ("weight", (v, h))
+    layout["dec.out.b"] = ("zeros", (v,))
     return layout
 
 
-def build_model(config: ModelConfig, seed: int, init_std: float = 0.08) -> TranscriberModel:
+def build_model(config: ModelConfig, seed: int) -> TranscriberModel:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D6F64]))
     p: dict[str, Tensor] = {}
     for name, (kind, shape) in _param_layout(config).items():
         if kind == "weight":
-            values = rng.normal(0.0, init_std, size=shape)
+            values = rng.normal(0.0, 0.08, size=shape)
         else:
             values = np.zeros(shape) if kind == "zeros" else np.ones(shape)
         p[name] = Tensor(values, requires_grad=True)
     return TranscriberModel(config, p)
 
 
-def _init_attention(weight, zeros, ones, prefix, h, cross: bool):
-    names = ["self", "cross"] if cross else ["attn"]
-    ones(f"{prefix}.ln1.g", (h,))
-    zeros(f"{prefix}.ln1.b", (h,))
-    for j, kind in enumerate(names):
-        if j > 0:
-            ones(f"{prefix}.ln{j + 1}.g", (h,))
-            zeros(f"{prefix}.ln{j + 1}.b", (h,))
-        for m in ("wq", "wk", "wv", "wo"):
-            weight(f"{prefix}.{kind}.{m}", (h, h))
-        for m in ("bq", "bk", "bv", "bo"):
-            zeros(f"{prefix}.{kind}.{m}", (h,))
-    ln_mlp = len(names) + 1
-    ones(f"{prefix}.ln{ln_mlp}.g", (h,))
-    zeros(f"{prefix}.ln{ln_mlp}.b", (h,))
-    weight(f"{prefix}.mlp.w1", (4 * h, h))
-    zeros(f"{prefix}.mlp.b1", (4 * h,))
-    weight(f"{prefix}.mlp.w2", (h, 4 * h))
-    zeros(f"{prefix}.mlp.b2", (h,))
-
-
-def attach_adapters(
-    model: TranscriberModel,
-    rank: int = 4,
-    alpha: float = 4.0,
-    dropout: float = 0.1,
-    seed: int = 0,
-) -> None:
-    """Attach LoRA adapters to the ADAPTED projections of every attention.
+def attach_adapters(model: TranscriberModel, lora: LoraSpec, seed: int) -> None:
+    """Attach adapters with `lora`'s settings to the ADAPTED projections of every attention.
 
     A is small Gaussian, B starts at zero so the adapted model is initially
     a no-op over the base model.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6C6F7261]))
     h = model.config.hidden_dim
     a_std = 1.0 / math.sqrt(h)
     for prefix in model.attention_prefixes():
         for m in ADAPTED:
-            name = f"{prefix}.{m}"
-            model.adapters[name] = LoraAdapter(
-                a=Tensor(rng.normal(0.0, a_std, size=(rank, h)), requires_grad=True),
-                b=Tensor(np.zeros((h, rank)), requires_grad=True),
-                rank=rank,
-                alpha=float(alpha),
-                dropout=float(dropout),
+            model.adapters[f"{prefix}.{m}"] = LoraAdapter(
+                a=Tensor(rng.normal(0.0, a_std, size=(lora.rank, h)), requires_grad=True),
+                b=Tensor(np.zeros((h, lora.rank)), requires_grad=True),
+                alpha=float(lora.alpha),
+                dropout=float(lora.dropout),
             )
 
 
@@ -336,10 +331,6 @@ def decode_batch(
     if start + seq > cfg.max_token_len:
         what = f"{start} cached + {seq} new tokens" if start else f"{seq} tokens"
         raise ValueError(f"{what} exceeds max_token_len={cfg.max_token_len}")
-    if y_in.max() >= cfg.vocab_size or y_in.min() < 0:
-        raise IndexError(
-            f"token id out of range [0, {cfg.vocab_size}): min={y_in.min()}, max={y_in.max()}"
-        )
 
     h = nm.embedding(model.params["dec.tok"], y_in)
     h = nm.add(h, nm.embedding(model.params["dec.pos"], np.arange(start, start + seq)))
@@ -576,7 +567,6 @@ def _load_adapters(path, model: TranscriberModel, entries: dict) -> None:
         model.adapters[name] = LoraAdapter(
             a=Tensor(a, requires_grad=True),
             b=Tensor(b, requires_grad=True),
-            rank=rank,
             alpha=float(obj["alpha"]),
             dropout=float(obj["dropout"]),
         )

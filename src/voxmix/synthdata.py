@@ -18,6 +18,8 @@ import numpy as np
 
 from voxmix.files import atomic_write
 
+CORPUS_VERSION = 1  # format version of a corpus file's header
+
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 PAD_ID = 0
 BOS_ID = 1
@@ -277,7 +279,7 @@ def build_corpus(cfg: GenConfig, songs_per_language: int, seed_base: int) -> lis
 
 def write_corpus(path, cfg: GenConfig, samples: list[PairedSample]) -> None:
     with atomic_write(path) as fh:
-        header = {"kind": "voxmix-corpus", "version": 1, "gen": asdict(cfg)}
+        header = {"kind": "voxmix-corpus", "version": CORPUS_VERSION, "gen": asdict(cfg)}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for s in samples:
             record = {
@@ -291,29 +293,38 @@ def write_corpus(path, cfg: GenConfig, samples: list[PairedSample]) -> None:
 
 
 def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
+    """A corpus file's gen config and samples; a damaged file, or one of another
+    kind or version, raises a ValueError naming it and the line where one applies."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "voxmix-corpus":
-            raise ValueError(f"{path} is not a voxmix corpus file")
-        cfg = GenConfig(**header["gen"])
-        tables: dict[str, SongTables] = {}
-        songs: dict[tuple[str, int], list[PairedSample]] = {}
-        samples = []
-        for line in fh:
-            rec = json.loads(line)
-            lang = rec["language"]
-            key = (lang, rec["seed"])
-            if key not in songs:
-                if lang not in tables:
-                    tables[lang] = song_tables(cfg, lang)
-                songs[key] = generate_song(rec["seed"], cfg, lang, tables[lang])
-            sample = songs[key][rec["segment_index"]]
-            if sample.text != rec["text"]:
-                raise ValueError(
-                    f"corpus record {rec['sample_id']} does not regenerate: "
-                    f"stored {rec['text']!r}, rebuilt {sample.text!r}"
-                )
-            samples.append(sample)
+        lineno = 1
+        try:
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict) or header.get("kind") != "voxmix-corpus":
+                raise ValueError(f"{path} is not a voxmix corpus file")
+            if header.get("version") != CORPUS_VERSION:
+                raise ValueError(f"{path}: corpus format version {header.get('version')!r}, "
+                                 f"expected {CORPUS_VERSION}")
+            cfg = GenConfig(**header["gen"])
+            tables: dict[str, SongTables] = {}
+            songs: dict[tuple[str, int], list[PairedSample]] = {}
+            samples = []
+            for lineno, line in enumerate(fh, start=2):
+                rec = json.loads(line)
+                lang = rec["language"]
+                key = (lang, rec["seed"])
+                if key not in songs:
+                    if lang not in tables:
+                        tables[lang] = song_tables(cfg, lang)
+                    songs[key] = generate_song(rec["seed"], cfg, lang, tables[lang])
+                sample = songs[key][rec["segment_index"]]
+                if sample.text != rec["text"]:
+                    raise ValueError(
+                        f"{path}: line {lineno}: record {rec['sample_id']} does not regenerate: "
+                        f"stored {rec['text']!r}, rebuilt {sample.text!r}"
+                    )
+                samples.append(sample)
+        except (json.JSONDecodeError, KeyError, TypeError, IndexError) as err:
+            raise ValueError(f"{path}: line {lineno}: malformed ({type(err).__name__}: {err})") from err
     return cfg, samples
 
 

@@ -1,6 +1,6 @@
-"""Pretraining and fine-tuning loops: Adam with a linear warmup/decay
-schedule, input-selection strategies over paired samples, and the
-per-step strategy loss.
+"""Pretraining and fine-tuning loops: Adam with fixed constants and a
+linear warmup/decay schedule, input-selection strategies over paired
+samples, and the per-step strategy loss.
 
 A step trains on (sample, domain) rows: voc, mix and random pick one
 domain per sample, both and cns take the vocal and the mixture row of
@@ -40,16 +40,13 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class PhasePlanSpec:
-    """The optimisation settings of one training phase."""
+    """A training phase's schedule, batch size and seed; Adam's constants belong to `adam_step`."""
 
     peak_lr: float
     total_steps: int
     batch_size: int
     seed: int = 0
     warmup_frac: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def check(self, phase: str) -> None:
         """Raise a ValueError naming the phase and the field of a setting training cannot use."""
@@ -58,9 +55,6 @@ class PhasePlanSpec:
             ("warmup_frac", 0 < self.warmup_frac < 1, "in (0, 1)"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("peak_lr", self.peak_lr > 0, "> 0"),
-            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-            ("eps", self.eps > 0, "> 0"),
             ("seed", self.seed >= 0, ">= 0"),
         )
         for name, ok, want in rules:
@@ -99,11 +93,9 @@ def adam_step(
     v: list[np.ndarray],
     step: int,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """Bias-corrected Adam update number `step` (from 1) of params, m and v, in place."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; no spec varies them
     if len(grads) != len(params):
         raise ValueError(f"got {len(grads)} grads for {len(params)} params")
     for i, g in enumerate(grads):
@@ -226,25 +218,14 @@ def train_step(
     """Zero grads, one forward/backward on the strategy loss, one Adam update;
     returns the step's log row."""
     step = state.step + 1
-    settings = plan.settings
-    lr = learning_rate(step, settings)
+    lr = learning_rate(step, plan.settings)
 
     zero_grads(state.params)
     total, losses = _losses(model, batch, plan, state)
     if not np.isfinite(losses["l_total"]):
         raise NonFiniteLossError(step, losses["l_total"])
     backward(total)
-    adam_step(
-        state.params,
-        [p.grad for p in state.params],
-        state.m,
-        state.v,
-        step,
-        lr,
-        settings.beta1,
-        settings.beta2,
-        settings.eps,
-    )
+    adam_step(state.params, [p.grad for p in state.params], state.m, state.v, step, lr)
     state.step = step
     return {"step": step, "lr": lr, **losses}
 
@@ -296,5 +277,5 @@ def run_experiment(
             history.append(row)
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path, seed_lineage or {"plan_seed": plan.settings.seed})
+        save_checkpoint(model, checkpoint_path, seed_lineage)
     return history

@@ -119,7 +119,6 @@ def reference_step(model, batch, plan, state) -> dict:
     backward(total)
     s = plan.settings
     lr = learning_rate(step, s)
-    adam_step(state.params, [p.grad for p in state.params], state.m, state.v, step,
-              lr, s.beta1, s.beta2, s.eps)
+    adam_step(state.params, [p.grad for p in state.params], state.m, state.v, step, lr)
     state.step = step
     return {"step": step, "lr": lr, **losses}

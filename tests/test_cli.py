@@ -126,9 +126,6 @@ BAD_PLAN_SETTINGS = [
     ("warmup_frac", 1.0),
     ("batch_size", 0),
     ("peak_lr", -1.0),
-    ("beta1", 1.0),
-    ("beta2", 1.0),
-    ("eps", 0.0),
     ("seed", -1),
 ]
 
@@ -144,8 +141,7 @@ def test_spec_refuses_a_bad_plan_setting(phase, field, value):
 
 def test_spec_accepts_plan_settings_at_their_bounds():
     spec = micro_spec("x")
-    edge = {"total_steps": 2, "warmup_frac": 0.01, "batch_size": 1, "peak_lr": 1e-12,
-            "beta1": 0.0, "beta2": 0.0, "eps": 1e-300, "seed": 0}
+    edge = {"total_steps": 2, "warmup_frac": 0.01, "batch_size": 1, "peak_lr": 1e-12, "seed": 0}
     replace(spec, pretrain=replace(spec.pretrain, **edge), finetune=replace(spec.finetune, **edge))
 
 
@@ -180,8 +176,7 @@ CORPUS_MISFITS = [
 ]
 
 
-@pytest.mark.parametrize("edits, message", CORPUS_MISFITS)
-def test_grid_with_a_corpus_the_model_cannot_take_writes_nothing(tmp_path, edits, message):
+def _refused_before_anything_is_written(tmp_path, edits, message):
     out = tmp_path / "out"
     doc = spec_to_doc(micro_spec(str(out)))
     for section, values in edits.items():
@@ -193,6 +188,101 @@ def test_grid_with_a_corpus_the_model_cannot_take_writes_nothing(tmp_path, edits
     with pytest.raises(ValueError, match=message):
         main(["grid", "--spec", str(spec_path)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edits, message", CORPUS_MISFITS)
+def test_grid_with_a_corpus_the_model_cannot_take_writes_nothing(tmp_path, edits, message):
+    _refused_before_anything_is_written(tmp_path, edits, message)
+
+
+# spec-document edits that would fail only after some files were written, or
+# silently, and the refusal naming the field
+LATE_FAILURES = {
+    "lora_rank_0": ({"lora": {"rank": 0}}, "lora.rank must be >= 1, got 0"),
+    "lora_dropout_1.5": ({"lora": {"dropout": 1.5}}, r"lora.dropout must be in \[0, 1\), got 1.5"),
+    "lora_dropout_negative": ({"lora": {"dropout": -0.1}}, r"lora.dropout must be in \[0, 1\), got -0.1"),
+    "test_split_empty": ({"corpus_songs": {"test": 0}}, "corpus_songs.test must be >= 1, got 0"),
+    "train_split_empty": ({"corpus_songs": {"train": 0}}, "corpus_songs.train must be >= 1, got 0"),
+    "unknown_split": ({"corpus_songs": {"valid": 3}},
+                      r"corpus_songs must name the splits \['pretrain', 'train', 'dev', 'test'\], "
+                      r"got \['dev', 'pretrain', 'test', 'train', 'valid'\]"),
+    "adam_constants": ({"pretrain": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}},
+                       r"unknown fields in pretrain: \['beta1', 'beta2', 'eps'\]"),
+}
+
+
+@pytest.mark.parametrize("edits, message", LATE_FAILURES.values(), ids=LATE_FAILURES)
+def test_grid_with_a_setting_that_would_fail_later_writes_nothing(tmp_path, edits, message):
+    _refused_before_anything_is_written(tmp_path, edits, message)
+
+
+def _drop_decode(doc):
+    del doc["decode"]
+
+
+def _drop_a_strategy_id(doc):
+    del doc["strategies"][0]["id"]
+
+
+def _hidden_dim_as_text(doc):
+    doc["model"]["hidden_dim"] = "32"
+
+
+@pytest.mark.parametrize("damage, cause", [
+    (None, "JSONDecodeError: "),
+    (_drop_decode, "KeyError: 'decode'"),
+    (_drop_a_strategy_id, "KeyError: 'id'"),
+    (_hidden_dim_as_text, "TypeError: model.hidden_dim must be int, got '32'"),
+], ids=["truncated", "no_decode", "strategy_without_id", "hidden_dim_as_text"])
+def test_malformed_spec_names_the_file_and_the_cause(tmp_path, damage, cause):
+    doc = spec_to_doc(micro_spec(str(tmp_path / "out")))
+    text = json.dumps(doc)
+    if damage is None:
+        text = text[: len(text) // 2]
+    else:
+        damage(doc)
+        text = json.dumps(doc)
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_spec(path)
+    assert str(err.value).startswith(f"{path}: malformed spec ({cause}")
+
+
+# every field a spec document sets, as dotted keys; a strategy's fields are
+# under "strategies.*". A setting is added or removed together with this list
+# and a line in CHANGES.md.
+SPEC_FIELDS = [
+    "corpus_songs.dev", "corpus_songs.pretrain", "corpus_songs.test", "corpus_songs.train",
+    "decode.max_tokens",
+    "finetune.batch_size", "finetune.peak_lr", "finetune.seed", "finetune.total_steps",
+    "finetune.warmup_frac",
+    "gen.distractor_seed", "gen.embed_seed", "gen.feature_dim", "gen.frames_per_token",
+    "gen.gain_range", "gen.jitter", "gen.lang_seed", "gen.languages", "gen.lines_per_song",
+    "gen.segment_max_frames", "gen.vowel_stretch_prob", "gen.word_len", "gen.words_per_lang",
+    "gen.words_per_line",
+    "lora.alpha", "lora.dropout", "lora.rank",
+    "model.decoder_layers", "model.encoder_layers", "model.feature_dim", "model.hidden_dim",
+    "model.max_audio_frames", "model.max_token_len", "model.num_heads", "model.vocab_size",
+    "out_dir",
+    "pretrain.batch_size", "pretrain.peak_lr", "pretrain.seed", "pretrain.total_steps",
+    "pretrain.warmup_frac",
+    "pretrain_gen_overrides.gain_range", "pretrain_gen_overrides.jitter",
+    "seeds",
+    "strategies.*.cns_kind", "strategies.*.id", "strategies.*.strategy", "strategies.*.weight",
+]
+
+
+def _dotted_keys(value, prefix: str) -> set[str]:
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return set().union(*(_dotted_keys(entry, f"{prefix}*.") for entry in value))
+    if isinstance(value, dict):
+        return set().union(*(_dotted_keys(v, f"{prefix}{k}.") for k, v in value.items()))
+    return {prefix[:-1]}
+
+
+def test_the_settable_fields_of_a_spec_are_pinned():
+    assert sorted(_dotted_keys(spec_to_doc(default_spec()), "")) == SPEC_FIELDS
 
 
 def test_spec_accepts_a_corpus_at_the_model_limits():
@@ -415,7 +505,7 @@ def test_parallel_worker_reads_the_base_and_each_split_once(grid_out, tmp_path, 
 
     reads = _record_reads(monkeypatch, copy)
     monkeypatch.setattr(cli, "_worker", {})
-    cli._init_worker(spec, str(copy))
+    cli._init_worker(spec, copy)
     for cell_id, seed in units:
         cli._finetune_worker(cell_id, seed)
     for cell in cells:

@@ -14,6 +14,7 @@ from voxmix.decoding import DecodeConfig, transcribe_batch
 from voxmix.losses import LossConfig
 from voxmix.model import (
     DecodeCache,
+    LoraSpec,
     ModelConfig,
     attach_adapters,
     base_digest,
@@ -51,7 +52,7 @@ def trained(clean_cfg, tmp_path_factory):
                   PhasePlanSpec(peak_lr=3e-3, total_steps=700, batch_size=8, seed=1)),
         corpus, model, tmp / "pre.jsonl",
     )
-    attach_adapters(model, 4, 4.0, 0.1, seed=2)
+    attach_adapters(model, LoraSpec(), seed=2)
     run_experiment(
         TrainPlan(LossConfig(strategy="voc"),
                   PhasePlanSpec(peak_lr=1e-3, total_steps=200, batch_size=8, seed=3)),
@@ -160,7 +161,7 @@ CACHE_TOL = dict(rtol=1e-12, atol=1e-12)
 
 def adapted_with_nonzero_b(seed=11):
     model = build_model(ModelConfig(), seed=seed)
-    attach_adapters(model, 4, 4.0, 0.1, seed=seed + 1)
+    attach_adapters(model, LoraSpec(), seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     for ad in model.adapters.values():
         ad.b.values[:] = 0.1 * rng.standard_normal(ad.b.values.shape)
@@ -290,7 +291,7 @@ def test_transcribe_batch_leaves_requires_grad_flags_as_they_were(clean_cfg, cfg
     # pretrain: a plain model trains its base weights; otherwise it has adapters
     model = build_model(ModelConfig(), seed=7)
     if phase != "pretrain":
-        attach_adapters(model, 4, 4.0, 0.1, seed=8)
+        attach_adapters(model, LoraSpec(), seed=8)
     if phase is not None:
         set_trainable(model)
 

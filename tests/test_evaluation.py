@@ -129,14 +129,10 @@ def test_wer_matches_exhaustive_enumeration_on_200_pairs():
 # ---------------------------------------------------------------------------
 
 
-def make_detail(s, d, i, ref):
-    return WerDetail(s, d, i, ref, (s + d + i) / ref if ref else float(s + d + i))
-
-
 def test_pooled_wer_is_micro_average():
     details = {
-        ("s1", "mix"): make_detail(1, 0, 0, 4),
-        ("s2", "mix"): make_detail(2, 1, 0, 6),
+        ("s1", "mix"): WerDetail(1, 0, 0, 4),
+        ("s2", "mix"): WerDetail(2, 1, 0, 6),
     }
     pooled = aggregate(details, {"s1": "la", "s2": "la"})
     la = pooled[("la", "mix")]
@@ -146,7 +142,7 @@ def test_pooled_wer_is_micro_average():
 
 
 def test_single_sample_subset_equals_sample_wer():
-    details = {("s1", "voc"): make_detail(1, 1, 0, 8)}
+    details = {("s1", "voc"): WerDetail(1, 1, 0, 8)}
     pooled = aggregate(details, {"s1": "be"})
     assert pooled[("be", "voc")].wer == details[("s1", "voc")].wer
 
@@ -159,7 +155,7 @@ def test_overall_ref_words_partition():
         sid = f"s{i}"
         subset_map[sid] = "la" if i % 2 else "be"
         for cond in ("mix", "voc"):
-            details[(sid, cond)] = make_detail(
+            details[(sid, cond)] = WerDetail(
                 int(rng.integers(0, 3)), int(rng.integers(0, 2)), int(rng.integers(0, 2)), 5
             )
     pooled = aggregate(details, subset_map)
@@ -172,12 +168,12 @@ def test_overall_ref_words_partition():
 
 def test_aggregate_rejects_unknown_condition():
     with pytest.raises(ValueError, match="condition"):
-        aggregate({("s1", "vocal"): make_detail(0, 0, 0, 3)}, {"s1": "la"})
+        aggregate({("s1", "vocal"): WerDetail(0, 0, 0, 3)}, {"s1": "la"})
 
 
 def test_aggregate_rejects_unmapped_sample():
     with pytest.raises(ValueError, match="subset map"):
-        aggregate({("s1", "mix"): make_detail(0, 0, 0, 3)}, {})
+        aggregate({("s1", "mix"): WerDetail(0, 0, 0, 3)}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +182,7 @@ def test_aggregate_rejects_unmapped_sample():
 
 
 def test_report_csv_layout():
-    details = {("s1", "mix"): make_detail(1, 0, 1, 5), ("s1", "voc"): make_detail(0, 0, 0, 5)}
+    details = {("s1", "mix"): WerDetail(1, 0, 1, 5), ("s1", "voc"): WerDetail(0, 0, 0, 5)}
     pooled = aggregate(details, {"s1": "la"})
     text = report_csv(pooled)
     lines = text.strip().split("\n")

@@ -10,6 +10,7 @@ from voxmix.model import (
     ADAPTED,
     DecodeCache,
     LoraAdapter,
+    LoraSpec,
     ModelConfig,
     TranscriberModel,
     _proj,
@@ -41,7 +42,7 @@ def base_model(config):
 @pytest.fixture
 def adapted_model(config):
     model = build_model(config, seed=3)
-    attach_adapters(model, rank=4, alpha=4.0, dropout=0.1, seed=5)
+    attach_adapters(model, LoraSpec(), seed=5)
     return model
 
 
@@ -52,6 +53,17 @@ def random_features(rng, frames, config):
 def test_config_validates_head_split():
     with pytest.raises(ValueError, match="divisible"):
         ModelConfig(hidden_dim=30, num_heads=4)
+
+
+# base_digest of the seed-0 model with 3 encoder layers and 1 decoder layer. The
+# weights draw from one stream in _param_layout's order, so this pins that order
+# on a shape the grid's digest does not cover.
+SHAPE_3_1_DIGEST = "e93ce2a1cdee0979bf0867648c05c59cff2cc7f44cef14802457b537fdf0d2cf"
+
+
+def test_initial_weights_of_a_non_default_shape_are_pinned():
+    model = build_model(ModelConfig(encoder_layers=3, decoder_layers=1), seed=0)
+    assert base_digest(model) == SHAPE_3_1_DIGEST
 
 
 def encode_one(model, x, train_mode, rng=None):
@@ -122,6 +134,14 @@ def test_decoder_rejects_out_of_vocab(base_model, config):
         decode_one(base_model, enc, [BOS_ID, config.vocab_size], train_mode=False)
 
 
+@pytest.mark.parametrize("bad", [-1, VOCAB_SIZE])
+def test_decoder_refuses_a_token_id_outside_the_vocabulary_naming_the_range(base_model, config, bad):
+    rng = np.random.default_rng(6)
+    enc = encode_one(base_model, random_features(rng, 6, config), train_mode=False)
+    with pytest.raises(IndexError, match=rf"out of range \[0, {config.vocab_size}\): min={min(bad, 1)}"):
+        decode_one(base_model, enc, [BOS_ID, bad], train_mode=False)
+
+
 def test_decoder_refuses_a_cached_call_past_max_token_len(base_model, config):
     rng = np.random.default_rng(8)
     enc = encode_one(base_model, random_features(rng, 6, config), train_mode=False)
@@ -163,7 +183,6 @@ def make_adapter(rng, d_out, d_in, rank=4, alpha=4.0, dropout=0.0, zero_b=False)
     return LoraAdapter(
         a=Tensor(rng.standard_normal((rank, d_in)), requires_grad=True),
         b=Tensor(b, requires_grad=True),
-        rank=rank,
         alpha=alpha,
         dropout=dropout,
     )
@@ -197,7 +216,7 @@ def test_lora_linear_zero_b_is_exactly_base(config):
 def test_lora_linear_delta_linear_in_alpha():
     rng = np.random.default_rng(9)
     a1 = make_adapter(rng, 6, 5, alpha=4.0)
-    a2 = LoraAdapter(a=a1.a, b=a1.b, rank=a1.rank, alpha=8.0, dropout=0.0)
+    a2 = LoraAdapter(a=a1.a, b=a1.b, alpha=8.0, dropout=0.0)
     model = one_projection(rng)
     x = Tensor(rng.standard_normal((3, 5)))
     base = proj(model, x, train_mode=False).values
@@ -256,6 +275,12 @@ def test_trainable_parameter_counts(base_model, adapted_model, config):
     pretrain = set_trainable(base_model)
     assert list(map(id, pretrain)) == [id(base_model.params[name]) for name in sorted(base_model.params)]
     assert all(p.requires_grad for p in pretrain)
+
+
+def test_adapter_rank_is_the_row_count_of_a(adapted_model):
+    rng = np.random.default_rng(4)
+    assert make_adapter(rng, 6, 5, rank=3).rank == 3
+    assert {ad.rank for ad in adapted_model.adapters.values()} == {LoraSpec().rank}
 
 
 def test_adapters_sit_on_the_adapted_projections_of_every_attention(adapted_model):
@@ -339,7 +364,7 @@ def _cell_over_saved_base(root, seed=3):
     save_checkpoint(build_model(ModelConfig(), seed=seed), base_path)
     base, _ = load_checkpoint(base_path)
     cell = share_base(base)
-    attach_adapters(cell, rank=4, alpha=4.0, dropout=0.1, seed=5)
+    attach_adapters(cell, LoraSpec(), seed=5)
     rng = np.random.default_rng(14)
     for ad in cell.adapters.values():
         ad.b.values[:] = rng.standard_normal(ad.b.values.shape)

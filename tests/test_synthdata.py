@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -216,3 +217,37 @@ def test_load_rejects_foreign_file(tmp_path):
     p.write_text('{"kind": "nope"}\n')
     with pytest.raises(ValueError, match="corpus"):
         load_corpus(p)
+
+
+def _damage_record(lines):
+    lines[3] = lines[3][: len(lines[3]) // 2]
+
+
+def _changed_text(lines):
+    record = json.loads(lines[2])
+    lines[2] = json.dumps({**record, "text": record["text"] + "a"}, sort_keys=True)
+
+
+def _version_2(lines):
+    lines[0] = lines[0].replace('"version": 1', '"version": 2')
+
+
+def _unknown_gen_field(lines):
+    lines[0] = lines[0].replace('"gen": {', '"gen": {"tempo": 120, ')
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_damage_record, r": line 4: malformed \(JSONDecodeError: "),
+    (_changed_text, r": line 3: record toyla-0-\d+ does not regenerate: stored '"),
+    (_version_2, r": corpus format version 2, expected 1$"),
+    (_unknown_gen_field, r": line 1: malformed \(TypeError: .*'tempo'"),
+], ids=["damaged_record", "changed_text", "version_2", "unknown_gen_field"])
+def test_load_refuses_a_damaged_corpus_naming_the_file(cfg, tmp_path, damage, message):
+    path = tmp_path / "train.jsonl"
+    write_corpus(path, cfg, build_corpus(cfg, songs_per_language=2, seed_base=0))
+    lines = path.read_text().splitlines()
+    damage(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(str(path))

@@ -8,6 +8,7 @@ import pytest
 
 from voxmix.losses import LossConfig
 from voxmix.model import (
+    LoraSpec,
     ModelConfig,
     attach_adapters,
     base_digest,
@@ -93,7 +94,7 @@ def test_adam_rejects_non_finite_gradients():
 
 
 def test_adam_five_step_trace_matches_hand_recurrence():
-    # minimize f(x) = x^2 from x = 1: grad = 2x
+    # minimize f(x) = x^2 from x = 1: grad = 2x; Kingma & Ba's constants are the reference
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
     p = Tensor(np.array([1.0]), requires_grad=True)
     moments = [np.zeros(1)], [np.zeros(1)]
@@ -114,7 +115,7 @@ def test_adam_five_step_trace_matches_hand_recurrence():
     got = []
     for t in range(1, 6):
         grad = 2.0 * p.values.copy()
-        adam_step([p], [grad], *moments, t, lr, b1, b2, eps)
+        adam_step([p], [grad], *moments, t, lr)
         got.append(float(p.values[0]))
 
     for a, b in zip(got, expected):
@@ -203,7 +204,7 @@ def pretrain_plan(steps, batch_size=4, seed=0):
 
 def adapted(seed=0, dropout=0.1):
     model = build_model(ModelConfig(), seed=seed)
-    attach_adapters(model, rank=4, alpha=4.0, dropout=dropout, seed=seed + 1)
+    attach_adapters(model, LoraSpec(dropout=dropout), seed=seed + 1)
     return model
 
 
@@ -341,7 +342,7 @@ def test_run_experiment_pretrain_moves_base_finetune_does_not(tiny_corpus, tmp_p
     digest1 = base_digest(model)
     assert digest1 != digest0
 
-    attach_adapters(model, 4, 4.0, 0.1, seed=9)
+    attach_adapters(model, LoraSpec(), seed=9)
     ft_plan = finetune_plan("both", steps=6)
     run_experiment(ft_plan, tiny_corpus, model, tmp_path / "ft.jsonl")
     assert base_digest(model) == digest1
@@ -353,7 +354,7 @@ def test_run_experiment_trains_what_the_model_holds(tiny_corpus, tmp_path, adapt
     # fine-tune strategy too, an adapted one only its adapters under pretrain settings
     model = build_model(ModelConfig(), seed=2)
     if adapters:
-        attach_adapters(model, 4, 4.0, 0.1, seed=9)
+        attach_adapters(model, LoraSpec(), seed=9)
     digest = base_digest(model)
     plan = pretrain_plan(3) if adapters else finetune_plan("both", steps=3)
     run_experiment(plan, tiny_corpus, model, tmp_path / "m.jsonl")
@@ -387,7 +388,7 @@ def test_nan_abort_of_a_finetune_names_its_base(tiny_corpus, tmp_path):
     base_path = _nan_biased_base(tmp_path)
     base, _ = load_checkpoint(base_path)
     model = share_base(base)
-    attach_adapters(model, 4, 4.0, 0.1, seed=9)
+    attach_adapters(model, LoraSpec(), seed=9)
     ckpt = tmp_path / "cell.json"
     with pytest.raises(RuntimeError, match="non-finite loss") as err:
         run_experiment(finetune_plan("voc", steps=4), tiny_corpus, model, tmp_path / "m.jsonl", ckpt)
@@ -442,7 +443,7 @@ def test_write_to_shared_base_during_finetune_raises(tiny_corpus, tmp_path):
     base, _ = load_checkpoint(path)
     digest = base_digest(base)
     model = share_base(base)
-    attach_adapters(model, 4, 4.0, 0.1, seed=9)
+    attach_adapters(model, LoraSpec(), seed=9)
     run_experiment(finetune_plan("cns", steps=3), tiny_corpus, model, tmp_path / "ft.jsonl")
     assert base_digest(base) == digest
 
@@ -460,7 +461,7 @@ def test_finetune_loss_drops_at_desk_scale(gen_cfg, tiny_corpus, tmp_path):
     clean = build_corpus(clean_cfg, songs_per_language=6, seed_base=20_000)
     model = build_model(ModelConfig(), seed=4)
     run_experiment(pretrain_plan(200, batch_size=8, seed=1), clean, model, tmp_path / "pre.jsonl")
-    attach_adapters(model, 4, 4.0, 0.1, seed=2)
+    attach_adapters(model, LoraSpec(), seed=2)
     plan = finetune_plan("cns", steps=200)
     history = run_experiment(plan, tiny_corpus, model, tmp_path / "ft.jsonl")
     start = history[0]["l_total"]
