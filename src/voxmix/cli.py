@@ -15,12 +15,12 @@ An output directory holds corpora/<split>.jsonl, checkpoints/pretrain.json
 (the full pretrained model) with its metrics log, one cells/<id>_s<seed>/
 directory per strategy cell and seed, transcripts/<model>/<condition>.jsonl
 and reports/. A cell directory holds metrics.jsonl, the per-step losses,
-and checkpoint.json, the cell's LoRA adapters and seed lineage with a
-reference to ../../checkpoints/pretrain.json and its base_digest; the
-pretrained base is not copied into it. Decode and a serial grid load the
-base and each corpus once per command and share the frozen base, read-only,
-across cells; in a parallel grid each worker loads them once. Every file
-is written atomically (see files.atomic_write).
+and checkpoint.json, the cell's LoRA settings once, adapters and seed
+lineage with a reference to ../../checkpoints/pretrain.json and its
+base_digest; the pretrained base is not copied into it. Decode and a serial
+grid load the base and each corpus once per command and share the frozen
+base, read-only, across cells; in a parallel grid each worker loads them
+once. Every file is written atomically (see files.atomic_write).
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ class ExperimentSpec:
             if self.corpus_songs[split] < 1:
                 raise ValueError(f"corpus_songs.{split} must be >= 1, got {self.corpus_songs[split]!r}")
             _check_corpus_feeds_model(_split_gen(self, split), self.model, split)
-        if self.decode.max_tokens > self.model.max_token_len:
-            raise ValueError(f"decode.max_tokens {self.decode.max_tokens} exceeds "
-                             f"model.max_token_len {self.model.max_token_len}")
+        if (n := self.decode.max_tokens) - 1 > self.model.max_token_len:  # last token not fed back
+            raise ValueError(f"decode.max_tokens {n} feeds the decoder {n - 1} positions, "
+                             f"over model.max_token_len {self.model.max_token_len}")
 
 
 def _check_corpus_feeds_model(gen: GenConfig, model: ModelConfig, split: str) -> None:
@@ -173,13 +173,17 @@ def _check_known(cls, doc: dict, where: str) -> None:
         raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
 
 
-def _strict(cls, doc: dict, where: str):
-    _check_known(cls, doc, where)
+def _check_types(cls, doc: dict, where: str) -> dict:
     for name, want in typing.get_type_hints(cls).items():
         ok = {int: (int,), float: (int, float), str: (str,)}.get(want)
         if name in doc and ok and (isinstance(doc[name], bool) or not isinstance(doc[name], ok)):
             raise TypeError(f"{where}.{name} must be {want.__name__}, got {doc[name]!r}")
-    return cls(**doc)
+    return doc
+
+
+def _strict(cls, doc: dict, where: str):
+    _check_known(cls, doc, where)
+    return cls(**_check_types(cls, doc, where))
 
 
 def spec_to_doc(spec: ExperimentSpec) -> dict:
@@ -194,7 +198,9 @@ def spec_from_doc(doc: dict) -> ExperimentSpec:
     doc = dict(doc)
     _check_known(ExperimentSpec, doc, "spec")
     cells = []
-    for entry in doc.pop("strategies"):
+    for i, entry in enumerate(doc.pop("strategies")):
+        if not isinstance(entry, dict):
+            raise TypeError(f"strategies[{i}] must be an object, got {entry!r}")
         entry = dict(entry)
         cell_id = entry.pop("id")
         cells.append(StrategyCell(cell_id, _strict(LossConfig, entry, f"strategy {cell_id}")))
@@ -202,7 +208,8 @@ def spec_from_doc(doc: dict) -> ExperimentSpec:
         out_dir=doc["out_dir"],
         seeds=list(doc["seeds"]),
         gen=_strict(GenConfig, doc["gen"], "gen"),
-        pretrain_gen_overrides=dict(doc["pretrain_gen_overrides"]),
+        pretrain_gen_overrides=_check_types(GenConfig, dict(doc["pretrain_gen_overrides"]),
+                                            "pretrain_gen_overrides"),
         corpus_songs=dict(doc["corpus_songs"]),
         model=_strict(ModelConfig, doc["model"], "model"),
         lora=_strict(LoraSpec, doc["lora"], "lora"),

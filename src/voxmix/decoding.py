@@ -56,9 +56,9 @@ def transcribe_batch(
             raise ValueError(
                 f"window has {w.shape[1]} features per frame; the model takes {feature_dim}"
             )
-    if cfg.max_tokens > model.config.max_token_len:
-        raise ValueError(f"max_tokens {cfg.max_tokens} exceeds the model's "
-                         f"max_token_len {model.config.max_token_len}")
+    if cfg.max_tokens - 1 > model.config.max_token_len:  # the last token is not fed back
+        raise ValueError(f"max_tokens {cfg.max_tokens} feeds the decoder {cfg.max_tokens - 1} "
+                         f"positions, over the model's max_token_len {model.config.max_token_len}")
     feats, mask = pad_frames(windows)
     y = np.full((len(windows), 1), BOS_ID, dtype=np.int64)
     done = np.zeros(len(windows), dtype=bool)

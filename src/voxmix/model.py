@@ -3,10 +3,10 @@
 Pre-LN transformer blocks at desk scale: an input projection plus
 sinusoidal positions feed self-attention encoder blocks; the decoder uses
 causal self-attention and cross-attention over the encoder output. LoRA
-adapters, set by a `LoraSpec`, attach to the `ADAPTED` projections (query
-and value) of every attention and, once attached, are the model's only
-trainable weights. With all adapter B matrices at zero the forward pass
-is bit-identical.
+adapters attach to the `ADAPTED` projections (query and value) of every
+attention and, once attached, are the model's only trainable weights; each
+holds its A and B, and `model.lora` their one `LoraSpec`. With all adapter
+B matrices at zero the forward pass is bit-identical.
 
 The forward pass has two entry points, `encode_batch` and `decode_batch`.
 Both take padded arrays with validity masks, as `pad_frames` lays them
@@ -19,15 +19,17 @@ projects the encoder output once, self-attention appends each call's keys
 and values. Logits then match a full-prefix call to about 1e-14, not bit
 for bit, as BLAS may round a product of fewer rows differently.
 
-Checkpoints come in two kinds. A full checkpoint holds every base weight
-and any adapters; the pretrained model is saved this way. A model built
-over the frozen base of a loaded full checkpoint (`share_base`), such as a
-fine-tuned cell, is saved as adapters only, with a reference to that base
-checkpoint: its path relative to the adapter file and its `base_digest`.
-`load_checkpoint` returns the full model for either kind, and refuses a
-file it cannot read, a format version it does not know, a shape that does
-not fit the config, and a base whose config or digest is not the one
-referenced.
+Checkpoints come in two kinds, one per kind of model, at `FORMAT_VERSION`.
+A full checkpoint (`voxmix-checkpoint`) holds a model without adapters, such
+as the pretrained one: its config, seed lineage and every base weight. An
+adapted model is saved as adapters only (`voxmix-adapters`): its config,
+seed lineage, `lora` once, each adapter's A and B, and `base_ref`, the path
+of the full checkpoint its frozen base was loaded from (`share_base`),
+relative to the adapter file, with its `base_digest`. It is saved over no
+other base. `load_checkpoint` returns the full model for either kind, and
+refuses a file it cannot read, a format version it does not know, a LoRA
+setting or shape that does not fit, and a base whose config or digest is
+not the one referenced.
 """
 
 from __future__ import annotations
@@ -90,20 +92,10 @@ class LoraSpec:
 
 @dataclass
 class LoraAdapter:
-    """Low-rank delta (alpha/rank) * B @ A on a frozen weight matrix."""
+    """The factors of a low-rank delta (alpha/rank) * B @ A; the settings are `model.lora`."""
 
     a: Tensor  # (rank, d_in)
     b: Tensor  # (d_out, rank)
-    alpha: float
-    dropout: float
-
-    @property
-    def rank(self) -> int:
-        return self.a.values.shape[0]
-
-    @property
-    def scaling(self) -> float:
-        return self.alpha / self.rank
 
 
 @dataclass(frozen=True)
@@ -127,6 +119,7 @@ class TranscriberModel:
         self.config = config
         self.params = params
         self.adapters: dict[str, LoraAdapter] = {}
+        self.lora: LoraSpec | None = None  # the settings of every adapter
         # the full checkpoint this model was loaded from, if any
         self.file: BaseFile | None = None
         # the full checkpoint whose frozen base this model shares (see share_base)
@@ -200,7 +193,7 @@ def build_model(config: ModelConfig, seed: int) -> TranscriberModel:
 
 
 def attach_adapters(model: TranscriberModel, lora: LoraSpec, seed: int) -> None:
-    """Attach adapters with `lora`'s settings to the ADAPTED projections of every attention.
+    """Attach adapters to the ADAPTED projections of every attention; `lora` becomes `model.lora`.
 
     A is small Gaussian, B starts at zero so the adapted model is initially
     a no-op over the base model.
@@ -208,13 +201,12 @@ def attach_adapters(model: TranscriberModel, lora: LoraSpec, seed: int) -> None:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6C6F7261]))
     h = model.config.hidden_dim
     a_std = 1.0 / math.sqrt(h)
+    model.lora = lora
     for prefix in model.attention_prefixes():
         for m in ADAPTED:
             model.adapters[f"{prefix}.{m}"] = LoraAdapter(
                 a=Tensor(rng.normal(0.0, a_std, size=(lora.rank, h)), requires_grad=True),
                 b=Tensor(np.zeros((h, lora.rank)), requires_grad=True),
-                alpha=float(lora.alpha),
-                dropout=float(lora.dropout),
             )
 
 
@@ -230,12 +222,12 @@ def _proj(model, prefix, matrix, x, train_mode, rng):
     if adapter is None:
         return out
     branch = x
-    if train_mode and adapter.dropout > 0.0:
+    if train_mode and model.lora.dropout > 0.0:
         if rng is None:
             raise ValueError("train-mode forward with adapter dropout needs an rng")
-        branch = nm.dropout(branch, adapter.dropout, rng)
+        branch = nm.dropout(branch, model.lora.dropout, rng)
     delta = nm.linear(nm.linear(branch, adapter.a), adapter.b)
-    return nm.add(out, nm.scale(delta, adapter.scaling))
+    return nm.add(out, nm.scale(delta, model.lora.alpha / model.lora.rank))
 
 
 def _attention(model, prefix, x_q, x_kv, add_mask, train_mode, rng, cache=None):
@@ -400,26 +392,12 @@ def share_base(base: TranscriberModel) -> TranscriberModel:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: JSON containers, bit-exact round trip, written atomically
-#
-# Two kinds, each with its own format version:
-#   voxmix-checkpoint  full: config, seed lineage, every base weight, and
-#                      any adapters. Written for every other model, such as
-#                      a freshly pretrained one.
-#   voxmix-adapters    adapters only: config, seed lineage, adapters, and
-#                      base_ref, the path of the full checkpoint holding the
-#                      base (relative to this file's directory, so that an
-#                      output directory can move) and its base_digest.
-#                      Written for a model sharing the base of a loaded full
-#                      checkpoint (share_base) while that base is unchanged.
-# Loading checks the kind and its format version, every weight and adapter
-# shape against the ModelConfig, and for adapters that the base's config
-# and base_digest are the referenced ones.
+# checkpoints
 # ---------------------------------------------------------------------------
 
 FULL_KIND = "voxmix-checkpoint"
 ADAPTERS_KIND = "voxmix-adapters"
-FORMAT_VERSIONS = {FULL_KIND: 1, ADAPTERS_KIND: 1}
+FORMAT_VERSION = 2
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -434,40 +412,39 @@ def _decode_array(obj: dict) -> np.ndarray:
     return flat.reshape(obj["shape"]).astype(np.float64)
 
 
-def _base_reference(model: TranscriberModel, path) -> dict | None:
-    """How a checkpoint at `path` refers to the model's base, or None to store it in full."""
-    if model.base_file is None or not model.adapters:
+def base_reference(model: TranscriberModel, path) -> dict | None:
+    """None for a model without adapters, saved in full; else the relative path
+    and base_digest of the full checkpoint its unchanged base was loaded from.
+    Raises a ValueError naming `path` for an adapted model without one."""
+    if not model.adapters:
         return None
-    if base_digest(model) != model.base_file.digest:
-        return None  # the base changed since it was loaded
-    rel = os.path.relpath(model.base_file.path, os.path.dirname(os.path.abspath(path)))
-    return {"path": rel.replace(os.sep, "/"), "base_digest": model.base_file.digest}
+    loaded = model.base_file
+    if loaded is not None and base_digest(model) == loaded.digest:
+        rel = os.path.relpath(loaded.path, os.path.dirname(os.path.abspath(path)))
+        return {"path": rel.replace(os.sep, "/"), "base_digest": loaded.digest}
+    why = ("its base was not loaded from a full checkpoint" if loaded is None
+           else f"its base changed since it was loaded from {loaded.path}")
+    raise ValueError(f"{path}: cannot save an adapted model: {why}; adapters are "
+                     f"saved over the unchanged base of a loaded full checkpoint (see share_base)")
 
 
 def save_checkpoint(model: TranscriberModel, path, seed_lineage: dict | None = None) -> None:
-    """Write `model` atomically (see files.atomic_write)."""
-    doc = {
-        "config": asdict(model.config),
-        "seed_lineage": seed_lineage or {},
-        "adapters": {
-            name: {
-                "rank": ad.rank,
-                "alpha": ad.alpha,
-                "dropout": ad.dropout,
-                "a": _encode_array(ad.a.values),
-                "b": _encode_array(ad.b.values),
-            }
-            for name, ad in model.adapters.items()
-        },
-    }
-    ref = _base_reference(model, path)
+    """Write `model` atomically (see files.atomic_write): in full without
+    adapters, as its adapters over the base of `base_reference` with them."""
+    doc = {"config": asdict(model.config), "seed_lineage": seed_lineage or {},
+           "version": FORMAT_VERSION}
+    ref = base_reference(model, path)
     if ref is None:
         doc["kind"] = FULL_KIND
         doc["base"] = {name: _encode_array(t.values) for name, t in model.params.items()}
     else:
         doc["kind"] = ADAPTERS_KIND
         doc["base_ref"] = ref
-    doc["version"] = FORMAT_VERSIONS[doc["kind"]]
+        doc["lora"] = asdict(model.lora)
+        doc["adapters"] = {
+            name: {"a": _encode_array(ad.a.values), "b": _encode_array(ad.b.values)}
+            for name, ad in model.adapters.items()
+        }
 
     with atomic_write(path) as fh:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
@@ -480,8 +457,8 @@ def load_checkpoint(path, base: TranscriberModel | None = None) -> tuple[Transcr
     frozen arrays of `base` (see share_base); without a `base`, the
     referenced full checkpoint is loaded. A full checkpoint ignores `base`.
     Raises ValueError, naming the file, for an unreadable or foreign file,
-    an unknown format version, a shape that does not fit the config, or a
-    base whose config or base_digest is not the referenced one.
+    an unknown format version, a LoRA setting or a shape that does not fit,
+    or a base whose config or base_digest is not the referenced one.
     """
     doc = _read_checkpoint(path)
     try:
@@ -501,12 +478,12 @@ def _read_checkpoint(path) -> dict:
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ValueError(f"{path} is not a readable checkpoint (truncated or not JSON): {err}") from err
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in FORMAT_VERSIONS:
+    if kind not in (FULL_KIND, ADAPTERS_KIND):
         raise ValueError(f"{path} is not a voxmix checkpoint")
-    if doc.get("version") != FORMAT_VERSIONS[kind]:
+    if doc.get("version") != FORMAT_VERSION:
         raise ValueError(
             f"{path}: unknown {kind} format version {doc.get('version')!r}; "
-            f"this reader knows version {FORMAT_VERSIONS[kind]}"
+            f"this reader knows version {FORMAT_VERSION}"
         )
     return doc
 
@@ -524,7 +501,6 @@ def _full_model(path, doc: dict) -> TranscriberModel:
         )
     model = TranscriberModel(config, params)
     model.file = BaseFile(os.path.normpath(os.path.abspath(path)), base_digest(model))
-    _load_adapters(path, model, doc["adapters"])
     return model
 
 
@@ -549,24 +525,18 @@ def _adapted_model(path, doc: dict, base: TranscriberModel | None) -> Transcribe
             f"{ref['base_digest']}, {where} has {digest}"
         )
     model = share_base(base)
-    _load_adapters(path, model, doc["adapters"])
-    return model
-
-
-def _load_adapters(path, model: TranscriberModel, entries: dict) -> None:
-    h = model.config.hidden_dim
+    try:
+        model.lora = LoraSpec(**doc["lora"])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+    h, rank = config.hidden_dim, model.lora.rank
     known = {f"{prefix}.{m}" for prefix in model.attention_prefixes() for m in ADAPTED}
-    for name, obj in entries.items():
-        rank = int(obj["rank"])
+    for name, obj in doc["adapters"].items():
         a, b = _decode_array(obj["a"]), _decode_array(obj["b"])
-        if name not in known or rank < 1 or a.shape != (rank, h) or b.shape != (h, rank):
+        if name not in known or a.shape != (rank, h) or b.shape != (h, rank):
             raise ValueError(
-                f"{path}: adapter {name} (rank {rank}, A {a.shape}, B {b.shape}) does not fit the "
-                f"model: hidden_dim is {h} and the adapted projections are {sorted(known)}"
+                f"{path}: adapter {name} (A {a.shape}, B {b.shape}) does not fit the model: "
+                f"lora.rank is {rank}, hidden_dim is {h} and the adapted projections are {sorted(known)}"
             )
-        model.adapters[name] = LoraAdapter(
-            a=Tensor(a, requires_grad=True),
-            b=Tensor(b, requires_grad=True),
-            alpha=float(obj["alpha"]),
-            dropout=float(obj["dropout"]),
-        )
+        model.adapters[name] = LoraAdapter(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+    return model

@@ -27,7 +27,7 @@ from voxmix import numerics as nm
 from voxmix.files import atomic_write
 from voxmix.losses import LossConfig, alt_loss, consistency_loss
 from voxmix.model import TranscriberModel, decode_batch, encode_batch, pad_frames
-from voxmix.model import save_checkpoint, set_trainable
+from voxmix.model import base_reference, save_checkpoint, set_trainable
 from voxmix.numerics import Tensor, backward, zero_grads
 from voxmix.synthdata import PAD_ID, PairedSample
 
@@ -250,9 +250,8 @@ def run_experiment(
 
     Emits a JSON-lines metrics log, written during training to
     `.<name>.tmp` beside `metrics_path` and renamed into place after the last
-    step, and a final checkpoint when a path is given: adapters only when the
-    model shares the base of a loaded full checkpoint (see
-    model.save_checkpoint), in full otherwise. A non-finite loss, or any
+    step, and a final checkpoint when a path is given (see model.save_checkpoint;
+    a model it would refuse is refused before step 1). A non-finite loss, or any
     other exception, aborts before either is put in place, so a previous log
     or checkpoint at those paths is left as it was; the log of the steps
     before the abort is kept as `<metrics_path>.aborted`. The NaN error names
@@ -260,6 +259,8 @@ def run_experiment(
     """
     if not corpus:
         raise ValueError("empty corpus")
+    if checkpoint_path is not None:
+        base_reference(model, checkpoint_path)  # raises for a model it could not save
     state = make_train_state(model, plan)
     batches = _batches(corpus, plan.settings.batch_size, state.data_rng)
     history = []

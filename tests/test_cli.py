@@ -60,12 +60,21 @@ def micro_spec(out_dir: str) -> ExperimentSpec:
 # A change that alters any output byte on purpose updates these and says so
 # in CHANGES.md.
 GRID_FILES = 31
-GRID_DIGEST = "b195629b00d98327599d5e8309c4383fdbcaf2168780c5e534719011eca886dd"
+GRID_DIGEST = "317fbd0e95761b60714cb9b8ec892ffe8ecf2c7aea9924e4983ff9b4d1acee1a"
+# The same over the files other than the checkpoints, so that a change to the
+# checkpoint format alone shows which outputs it left as they were.
+OUTPUT_FILES = 26
+OUTPUT_DIGEST = "dadafad645ed55e827b12b8f9a0b2d1b9899ba1d52579dab8f7b50744f421063"
 
 
-def _tree_digest(root: Path) -> tuple[int, str]:
-    """SHA-256 over each file's relative POSIX path, a NUL byte and its bytes, in path order."""
+def _not_a_checkpoint(rel: str) -> bool:
+    return rel != "checkpoints/pretrain.json" and not rel.endswith("/checkpoint.json")
+
+
+def _tree_digest(root: Path, keep=lambda rel: True) -> tuple[int, str]:
+    """SHA-256 over each kept file's relative POSIX path, a NUL byte and its bytes, in path order."""
     files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file())
+    files = [(rel, path) for rel, path in files if keep(rel)]
     h = hashlib.sha256()
     for rel, path in files:
         h.update(rel.encode() + b"\0" + path.read_bytes())
@@ -171,8 +180,8 @@ CORPUS_MISFITS = [
      "tokens, over model.max_token_len 7"),
     ({"pretrain_gen_overrides": {"gain": 0.0}},
      r"unknown fields in pretrain_gen_overrides: \['gain'\]"),
-    ({"decode": {"max_tokens": 49}},
-     "decode.max_tokens 49 exceeds model.max_token_len 48"),
+    ({"decode": {"max_tokens": 50}},
+     "decode.max_tokens 50 feeds the decoder 49 positions, over model.max_token_len 48"),
 ]
 
 
@@ -228,12 +237,23 @@ def _hidden_dim_as_text(doc):
     doc["model"]["hidden_dim"] = "32"
 
 
+def _strategy_as_text(doc):
+    doc["strategies"][0] = "voc"
+
+
+def _override_as_text(doc):
+    doc["pretrain_gen_overrides"]["jitter"] = "0.25"
+
+
 @pytest.mark.parametrize("damage, cause", [
     (None, "JSONDecodeError: "),
     (_drop_decode, "KeyError: 'decode'"),
     (_drop_a_strategy_id, "KeyError: 'id'"),
     (_hidden_dim_as_text, "TypeError: model.hidden_dim must be int, got '32'"),
-], ids=["truncated", "no_decode", "strategy_without_id", "hidden_dim_as_text"])
+    (_strategy_as_text, "TypeError: strategies[0] must be an object, got 'voc')"),
+    (_override_as_text, "TypeError: pretrain_gen_overrides.jitter must be float, got '0.25')"),
+], ids=["truncated", "no_decode", "strategy_without_id", "hidden_dim_as_text", "strategy_as_text",
+        "override_as_text"])
 def test_malformed_spec_names_the_file_and_the_cause(tmp_path, damage, cause):
     doc = spec_to_doc(micro_spec(str(tmp_path / "out")))
     text = json.dumps(doc)
@@ -384,7 +404,7 @@ def grid_run(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         reads = _record_reads(mp, out)
         cmd_grid(spec, out, jobs=1)
-    return spec, out, reads, _tree_digest(out)
+    return spec, out, reads, _tree_digest(out), _tree_digest(out, _not_a_checkpoint)
 
 
 def _record_reads(mp, out: Path) -> dict[str, list[str]]:
@@ -405,16 +425,19 @@ def _record_reads(mp, out: Path) -> dict[str, list[str]]:
 
 @pytest.fixture(scope="module")
 def grid_out(grid_run):
-    spec, out, _, _ = grid_run
-    return spec, out
+    return grid_run[:2]
 
 
 def test_grid_outputs_are_the_pinned_bytes(grid_run):
     assert grid_run[3] == (GRID_FILES, GRID_DIGEST)
 
 
+def test_grid_outputs_other_than_checkpoints_are_the_pinned_bytes(grid_run):
+    assert grid_run[4] == (OUTPUT_FILES, OUTPUT_DIGEST)
+
+
 def test_serial_grid_reads_each_split_and_the_base_once_per_command(grid_run):
-    spec, _, reads, _ = grid_run
+    spec, _, reads = grid_run[:3]
     # pretrain, train for every cell, test in decode, test in eval
     assert reads["corpus"] == [f"corpora/{s}.jsonl" for s in ("pretrain", "train", "test", "test")]
     # the base once for all cells and decode, then each cell's adapters once

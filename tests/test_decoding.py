@@ -109,10 +109,15 @@ def test_greedy_decode_caps_output_length(cfg):
     tokens = transcribe_batch(model, [x], cfg)[0]
     assert len(tokens) == cfg.max_tokens
     assert EOS_ID not in tokens[1:]
-    # a limit past the model's is refused, not cut to it
+    # the last token is never fed back, so max_token_len + 1 tokens fit the decoder
     limit = model.config.max_token_len
-    with pytest.raises(ValueError, match=f"max_tokens {limit + 1} exceeds the model's max_token_len {limit}"):
-        transcribe_batch(model, [x], DecodeConfig(max_tokens=limit + 1))
+    tokens = transcribe_batch(model, [x], DecodeConfig(max_tokens=limit + 1))[0]
+    assert len(tokens) == limit + 1
+    assert EOS_ID not in tokens[1:]
+    # a limit past the model's is refused, not cut to it
+    with pytest.raises(ValueError, match=f"max_tokens {limit + 2} feeds the decoder {limit + 1} "
+                                         f"positions, over the model's max_token_len {limit}"):
+        transcribe_batch(model, [x], DecodeConfig(max_tokens=limit + 2))
 
 
 def test_trained_model_transcribes_held_out_clean_sample(trained, clean_cfg, cfg):

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -178,23 +179,23 @@ def test_decoder_causality_under_suffix_perturbation(base_model, config):
 # ---------------------------------------------------------------------------
 
 
-def make_adapter(rng, d_out, d_in, rank=4, alpha=4.0, dropout=0.0, zero_b=False):
+def make_adapter(rng, d_out, d_in, rank=4, zero_b=False):
     b = np.zeros((d_out, rank)) if zero_b else rng.standard_normal((d_out, rank))
     return LoraAdapter(
         a=Tensor(rng.standard_normal((rank, d_in)), requires_grad=True),
         b=Tensor(b, requires_grad=True),
-        alpha=alpha,
-        dropout=dropout,
     )
 
 
-def one_projection(rng, adapter=None):
-    """A model whose only weights are the projection att.wq (6 x 5) and its bias att.bq."""
+def one_projection(rng, adapter=None, alpha=4.0, dropout=0.0):
+    """A model whose only weights are the projection att.wq (6 x 5) and its bias
+    att.bq, with the LoRA settings of a rank-4 `make_adapter`."""
     params = {
         "att.wq": Tensor(rng.standard_normal((6, 5))),
         "att.bq": Tensor(rng.standard_normal(6)),
     }
     model = TranscriberModel(ModelConfig(), params)
+    model.lora = LoraSpec(rank=4, alpha=alpha, dropout=dropout)
     if adapter is not None:
         model.adapters["att.wq"] = adapter
     return model
@@ -215,14 +216,13 @@ def test_lora_linear_zero_b_is_exactly_base(config):
 
 def test_lora_linear_delta_linear_in_alpha():
     rng = np.random.default_rng(9)
-    a1 = make_adapter(rng, 6, 5, alpha=4.0)
-    a2 = LoraAdapter(a=a1.a, b=a1.b, alpha=8.0, dropout=0.0)
-    model = one_projection(rng)
+    adapter = make_adapter(rng, 6, 5)
+    model = one_projection(rng, alpha=4.0)
     x = Tensor(rng.standard_normal((3, 5)))
     base = proj(model, x, train_mode=False).values
-    model.adapters["att.wq"] = a1
+    model.adapters["att.wq"] = adapter
     d1 = proj(model, x, train_mode=False).values - base
-    model.adapters["att.wq"] = a2
+    model.lora = LoraSpec(rank=4, alpha=8.0, dropout=0.0)
     d2 = proj(model, x, train_mode=False).values - base
     assert np.allclose(d2, 2.0 * d1, atol=1e-12)
 
@@ -232,7 +232,7 @@ def test_lora_merge_equivalence():
     adapter = make_adapter(rng, 6, 5)
     model = one_projection(rng, adapter)
     w, b = model.params["att.wq"].values, model.params["att.bq"].values
-    merged = w + adapter.scaling * (adapter.b.values @ adapter.a.values)
+    merged = w + (model.lora.alpha / model.lora.rank) * (adapter.b.values @ adapter.a.values)
     for _ in range(50):
         x = Tensor(rng.standard_normal((4, 5)))
         runtime = proj(model, x, train_mode=False).values
@@ -242,7 +242,7 @@ def test_lora_merge_equivalence():
 
 def test_lora_dropout_only_in_train_mode():
     rng = np.random.default_rng(11)
-    model = one_projection(rng, make_adapter(rng, 6, 5, dropout=0.5))
+    model = one_projection(rng, make_adapter(rng, 6, 5), dropout=0.5)
     x = Tensor(rng.standard_normal((3, 5)))
     eval_a = proj(model, x, train_mode=False).values
     eval_b = proj(model, x, train_mode=False).values
@@ -277,10 +277,16 @@ def test_trainable_parameter_counts(base_model, adapted_model, config):
     assert all(p.requires_grad for p in pretrain)
 
 
-def test_adapter_rank_is_the_row_count_of_a(adapted_model):
-    rng = np.random.default_rng(4)
-    assert make_adapter(rng, 6, 5, rank=3).rank == 3
-    assert {ad.rank for ad in adapted_model.adapters.values()} == {LoraSpec().rank}
+def test_adapter_rank_is_the_row_count_of_a(adapted_model, config):
+    # the model holds the one LoraSpec it was given; each A has its rank in rows
+    lora = LoraSpec(rank=3)
+    model = build_model(config, seed=3)
+    attach_adapters(model, lora, seed=5)
+    for m, rank in ((model, 3), (adapted_model, LoraSpec().rank)):
+        assert m.lora.rank == rank
+        assert {(ad.a.values.shape[0], ad.b.values.shape[1]) for ad in m.adapters.values()} == {(rank, rank)}
+    assert model.lora is lora
+    assert build_model(config, seed=3).lora is None
 
 
 def test_adapters_sit_on_the_adapted_projections_of_every_attention(adapted_model):
@@ -327,22 +333,19 @@ def test_adapter_gradients_reach_both_factors(adapted_model, config):
 # ---------------------------------------------------------------------------
 
 
-def test_checkpoint_round_trip_is_bit_exact(adapted_model, tmp_path):
-    # make adapter state non-trivial before saving
-    rng = np.random.default_rng(14)
-    for ad in adapted_model.adapters.values():
-        ad.b.values[:] = rng.standard_normal(ad.b.values.shape)
+def test_checkpoint_round_trip_is_bit_exact(base_model, tmp_path):
     path = tmp_path / "model.json"
-    lineage = {"init_seed": 3, "adapter_seed": 5}
-    save_checkpoint(adapted_model, path, lineage)
+    lineage = {"init_seed": 3, "plan_seed": 3}
+    save_checkpoint(base_model, path, lineage)
     loaded, loaded_lineage = load_checkpoint(path)
 
     assert loaded_lineage == lineage
-    assert loaded.config == adapted_model.config
-    assert base_digest(loaded) == base_digest(adapted_model)
-    for name, ad in adapted_model.adapters.items():
-        assert np.array_equal(loaded.adapters[name].a.values, ad.a.values)
-        assert np.array_equal(loaded.adapters[name].b.values, ad.b.values)
+    assert loaded.config == base_model.config
+    assert loaded.params.keys() == base_model.params.keys()
+    for name, t in base_model.params.items():
+        assert np.array_equal(loaded.params[name].values, t.values)
+    assert loaded.file.digest == base_digest(base_model)
+    assert loaded.adapters == {} and loaded.lora is None
 
     save_checkpoint(loaded, tmp_path / "again.json", lineage)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
@@ -379,6 +382,19 @@ def _edit(path, change):
     path.write_text(json.dumps(doc))
 
 
+def test_each_checkpoint_kind_holds_only_its_own_keys(tmp_path):
+    _, cell, path = _cell_over_saved_base(tmp_path)
+    full = json.loads((tmp_path / "checkpoints" / "base.json").read_text())
+    assert sorted(full) == ["base", "config", "kind", "seed_lineage", "version"]
+    assert (full["kind"], full["version"]) == ("voxmix-checkpoint", 2)
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == ["adapters", "base_ref", "config", "kind", "lora", "seed_lineage", "version"]
+    assert (doc["kind"], doc["version"]) == ("voxmix-adapters", 2)
+    assert doc["lora"] == asdict(LoraSpec())
+    assert doc["adapters"].keys() == cell.adapters.keys()
+    assert {tuple(sorted(entry)) for entry in doc["adapters"].values()} == {("a", "b")}
+
+
 def test_adapter_checkpoint_round_trip_is_bit_exact(tmp_path):
     base, cell, path = _cell_over_saved_base(tmp_path)
     doc = json.loads(path.read_text())
@@ -393,6 +409,7 @@ def test_adapter_checkpoint_round_trip_is_bit_exact(tmp_path):
     for loaded, lineage in (load_checkpoint(path), load_checkpoint(path, base=base)):
         assert lineage == {"adapter_seed": 5}
         assert loaded.config == cell.config
+        assert loaded.lora == cell.lora
         assert base_digest(loaded) == base_digest(base)
         assert loaded.adapters.keys() == cell.adapters.keys()
         for name, ad in cell.adapters.items():
@@ -471,15 +488,30 @@ def test_full_checkpoint_refuses_weights_that_do_not_fit_its_config(base_model, 
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("rank", 0, "lora.rank must be >= 1, got 0"),
+    ("dropout", 1.5, r"lora.dropout must be in \[0, 1\), got 1.5"),
+], ids=["rank_0", "dropout_1.5"])
+def test_adapter_checkpoint_refuses_a_lora_setting_out_of_range(tmp_path, field, value, message):
+    _, _, path = _cell_over_saved_base(tmp_path)
+    _edit(path, lambda doc: doc["lora"].update({field: value}))
+    with pytest.raises(ValueError, match=message) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: lora.{field}")
+
+
 @pytest.mark.parametrize("which", ["full", "adapters"])
 def test_checkpoint_refuses_unknown_version(which, tmp_path):
     _, _, path = _cell_over_saved_base(tmp_path)
     if which == "full":
         path = tmp_path / "checkpoints" / "base.json"
-    _edit(path, lambda doc: doc.update(version=99))
-    with pytest.raises(ValueError, match="version 99") as err:
-        load_checkpoint(path)
-    assert str(path) in str(err.value)
+    for version in (1, 99):  # 1: the format that held per-adapter settings and adapters in full files
+        _edit(path, lambda doc: doc.update(version=version))
+        kind = "voxmix-checkpoint" if which == "full" else "voxmix-adapters"
+        with pytest.raises(ValueError, match=f"unknown {kind} format version {version}; "
+                                             f"this reader knows version 2") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
 
 def test_truncated_checkpoint_names_the_file(base_model, tmp_path):
@@ -500,19 +532,38 @@ def test_adapter_checkpoint_with_missing_base_names_the_base(tmp_path):
     assert str(base_path) in str(err.value)
 
 
-def test_checkpoint_write_is_atomic(base_model, adapted_model, tmp_path, monkeypatch):
-    path = tmp_path / "model.json"
-    save_checkpoint(base_model, path)
-    before = path.read_bytes()
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    base, cell, cell_path = _cell_over_saved_base(tmp_path)
+    for ad in cell.adapters.values():
+        ad.b.values[:] = 0.0
+    base_path = tmp_path / "checkpoints" / "base.json"
+    before = {path: path.read_bytes() for path in (base_path, cell_path)}
 
     def crash(src, dst):
         raise OSError("killed before the rename")
 
     monkeypatch.setattr(os, "replace", crash)
-    with pytest.raises(OSError, match="killed"):
+    for model, path in ((build_model(ModelConfig(), seed=4), base_path), (cell, cell_path)):
+        with pytest.raises(OSError, match="killed"):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before[path]
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_an_adapted_model_is_saved_only_over_the_unchanged_base_it_loaded(adapted_model, tmp_path):
+    path = tmp_path / "cell.json"
+    with pytest.raises(ValueError, match="its base was not loaded from a full checkpoint") as err:
         save_checkpoint(adapted_model, path)
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+    assert str(err.value).startswith(f"{path}: cannot save an adapted model")
+
+    _, cell, _ = _cell_over_saved_base(tmp_path / "out")
+    weight = cell.params["enc.in.w"].values
+    weight.flags.writeable = True
+    weight[0, 0] += 1.0
+    with pytest.raises(ValueError, match="its base changed since it was loaded from .*base.json") as err:
+        save_checkpoint(cell, path)
+    assert str(path) in str(err.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 def test_shared_base_is_read_only(base_model):

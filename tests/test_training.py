@@ -322,8 +322,11 @@ def test_one_loss_path_equals_the_two_path_reference(tiny_corpus, phase, strateg
 
 def test_run_experiment_is_byte_deterministic(tiny_corpus, tmp_path):
     plan = finetune_plan("cns", steps=8)
+    save_checkpoint(build_model(ModelConfig(), seed=0), tmp_path / "base.json")
+    base, _ = load_checkpoint(tmp_path / "base.json")
     for run in ("a", "b"):
-        model = adapted()
+        model = share_base(base)
+        attach_adapters(model, LoraSpec(), seed=1)
         run_experiment(
             plan,
             tiny_corpus,
@@ -333,6 +336,19 @@ def test_run_experiment_is_byte_deterministic(tiny_corpus, tmp_path):
         )
     assert (tmp_path / "metrics_a.jsonl").read_bytes() == (tmp_path / "metrics_b.jsonl").read_bytes()
     assert (tmp_path / "ckpt_a.json").read_bytes() == (tmp_path / "ckpt_b.json").read_bytes()
+
+
+def test_run_experiment_refuses_a_model_it_could_not_save_before_step_1(tiny_corpus, tmp_path, monkeypatch):
+    def step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(training, "train_step", step)
+    model = adapted()  # adapters over a base that no full checkpoint holds
+    ckpt = tmp_path / "cell.json"
+    with pytest.raises(ValueError, match="its base was not loaded from a full checkpoint") as err:
+        run_experiment(finetune_plan("voc", steps=4), tiny_corpus, model, tmp_path / "m.jsonl", ckpt)
+    assert str(err.value).startswith(f"{ckpt}: cannot save an adapted model")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_experiment_pretrain_moves_base_finetune_does_not(tiny_corpus, tmp_path):
