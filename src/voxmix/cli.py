@@ -4,12 +4,14 @@ decoding, and WER reporting over a strategy x seed grid.
 Subcommands: gen-data, pretrain, finetune, decode, eval, and grid (runs
 everything). A single JSON spec file pins every knob so a rerun
 reproduces all emitted files byte for byte; grid cells are independent
-jobs and may run in parallel worker processes. Each setting is checked
+jobs and may run in parallel worker processes. A spec file holds
+`asdict(spec)`, read back through `files.read_settings`. Each setting is checked
 when the spec is built, by the class that owns it (`training.PhasePlanSpec`,
 `model.LoraSpec`) or against the model and splits by `ExperimentSpec`, so a
 setting that would fail later stops a command before it writes anything;
-`load_spec` names the file it cannot read. Each phase trains on
-`TrainPlan(loss, plan)`; the model's adapters, if any, say what trains.
+every refusal of `load_spec` is a ValueError that starts with the file's path.
+Each phase trains on `TrainPlan(loss, plan)`; the model's adapters, if any,
+say what trains.
 
 An output directory holds corpora/<split>.jsonl, checkpoints/pretrain.json
 (the full pretrained model) with its metrics log, one cells/<id>_s<seed>/
@@ -28,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
@@ -38,7 +39,7 @@ import numpy as np
 
 from voxmix.decoding import DecodeConfig, transcribe_batch
 from voxmix.evaluation import CONDITIONS, aggregate, comparison_markdown, report_csv, wer
-from voxmix.files import atomic_write
+from voxmix.files import atomic_write, read_settings
 from voxmix.losses import LossConfig
 from voxmix.model import (
     LoraSpec,
@@ -103,7 +104,6 @@ class ExperimentSpec:
         if set(self.corpus_songs) != set(SPLITS):
             raise ValueError(f"corpus_songs must name the splits {list(SPLITS)}, "
                              f"got {sorted(self.corpus_songs)}")
-        _check_known(GenConfig, self.pretrain_gen_overrides, "pretrain_gen_overrides")
         for split in SPLITS:
             if self.corpus_songs[split] < 1:
                 raise ValueError(f"corpus_songs.{split} must be >= 1, got {self.corpus_songs[split]!r}")
@@ -163,75 +163,24 @@ def default_spec(out_dir: str = "runs/default") -> ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# spec (de)serialization with strict keys and scalar types
+# spec files: asdict(spec) written, read back through files.read_settings
 # ---------------------------------------------------------------------------
 
 
-def _check_known(cls, doc: dict, where: str) -> None:
-    unknown = set(doc) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
-
-
-def _check_types(cls, doc: dict, where: str) -> dict:
-    for name, want in typing.get_type_hints(cls).items():
-        ok = {int: (int,), float: (int, float), str: (str,)}.get(want)
-        if name in doc and ok and (isinstance(doc[name], bool) or not isinstance(doc[name], ok)):
-            raise TypeError(f"{where}.{name} must be {want.__name__}, got {doc[name]!r}")
-    return doc
-
-
-def _strict(cls, doc: dict, where: str):
-    _check_known(cls, doc, where)
-    return cls(**_check_types(cls, doc, where))
-
-
-def spec_to_doc(spec: ExperimentSpec) -> dict:
-    doc = asdict(spec)
-    doc["strategies"] = [
-        {"id": c.cell_id, **asdict(c.loss)} for c in spec.strategies
-    ]
-    return doc
-
-
-def spec_from_doc(doc: dict) -> ExperimentSpec:
-    doc = dict(doc)
-    _check_known(ExperimentSpec, doc, "spec")
-    cells = []
-    for i, entry in enumerate(doc.pop("strategies")):
-        if not isinstance(entry, dict):
-            raise TypeError(f"strategies[{i}] must be an object, got {entry!r}")
-        entry = dict(entry)
-        cell_id = entry.pop("id")
-        cells.append(StrategyCell(cell_id, _strict(LossConfig, entry, f"strategy {cell_id}")))
-    return ExperimentSpec(
-        out_dir=doc["out_dir"],
-        seeds=list(doc["seeds"]),
-        gen=_strict(GenConfig, doc["gen"], "gen"),
-        pretrain_gen_overrides=_check_types(GenConfig, dict(doc["pretrain_gen_overrides"]),
-                                            "pretrain_gen_overrides"),
-        corpus_songs=dict(doc["corpus_songs"]),
-        model=_strict(ModelConfig, doc["model"], "model"),
-        lora=_strict(LoraSpec, doc["lora"], "lora"),
-        pretrain=_strict(PhasePlanSpec, doc["pretrain"], "pretrain"),
-        finetune=_strict(PhasePlanSpec, doc["finetune"], "finetune"),
-        strategies=cells,
-        decode=_strict(DecodeConfig, doc["decode"], "decode"),
-    )
-
-
 def load_spec(path) -> ExperimentSpec:
-    """The spec at `path`; a file that does not hold a whole spec raises a ValueError naming it."""
+    """The spec at `path`; a file without a valid spec raises a ValueError starting with the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return spec_from_doc(json.load(fh))
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as err:
+            return read_settings(ExperimentSpec, json.load(fh))
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as err:
         raise ValueError(f"{path}: malformed spec ({type(err).__name__}: {err})") from err
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:
     with atomic_write(path) as fh:
-        fh.write(json.dumps(spec_to_doc(spec), sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(asdict(spec), sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +229,9 @@ def _split_seed_base(spec: ExperimentSpec, split: str) -> int:
 
 
 def _split_gen(spec: ExperimentSpec, split: str) -> GenConfig:
-    if split == "pretrain":
-        return replace(spec.gen, **spec.pretrain_gen_overrides)
+    if split == "pretrain":  # the overrides are checked as the fields of a GenConfig
+        merged = {**asdict(spec.gen), **spec.pretrain_gen_overrides}
+        return read_settings(GenConfig, merged, "pretrain_gen_overrides")
     return spec.gen
 
 

@@ -1,14 +1,17 @@
-"""Atomic file writes: an emitted file appears whole or not at all.
+"""Atomic file writes, and one typed reader for the settings a file holds.
 
 Every file the pipeline emits (corpora, the spec, metrics logs,
 checkpoints, transcripts and reports) is written through `atomic_write`,
 so a run killed or failing mid-write never leaves a half-written file that
-a later stage would trust.
+a later stage would trust. The spec, a corpus header's `gen` and a
+checkpoint's `config` and `lora` are read back through `read_settings`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import typing
 from contextlib import contextmanager
 
 
@@ -40,3 +43,38 @@ def atomic_write(path, partial=None):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def read_settings(want, value, where: str = ""):
+    """`value`, parsed from JSON, read as the type `want`; `where` is its dotted name.
+
+    `want` is a dataclass (an object with each of its fields and no other),
+    `list[T]`, `tuple[T1, ...]` of that length, `dict`, `dict[str, T]`, `int`,
+    `float` (an int will do) or `str`; no bool is a number. The wrong shape raises
+    a TypeError naming the field, as in `gen.word_len[1] must be int, got '3'`."""
+    origin, args = typing.get_origin(want), typing.get_args(want)
+    if dataclasses.is_dataclass(want):
+        hints, label = typing.get_type_hints(want), where or want.__name__
+        _expect(dict, value, label, "an object")
+        for what, names in (("unknown", value.keys() - hints), ("missing", hints.keys() - value)):
+            if names:
+                raise TypeError(f"{what} fields in {label}: {sorted(names)}")
+        return want(**{k: read_settings(t, value[k], f"{where}.{k}".lstrip(".")) for k, t in hints.items()})
+    if want is dict or origin is dict:  # a bare dict's values are for its owner to check
+        _expect(dict, value, where, "an object")
+        return {k: read_settings(args[1], v, f"{where}.{k}") if args else v for k, v in value.items()}
+    if origin in (list, tuple):
+        what = "a list" if origin is list else f"a list of {len(args)}"
+        _expect((list, tuple), value, where, what)
+        kinds = args * len(value) if origin is list else args
+        if len(kinds) != len(value):
+            raise TypeError(f"{where} must be {what}, got {value!r}")
+        items = [read_settings(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(kinds, value))]
+        return items if origin is list else tuple(items)
+    _expect((int, float) if want is float else want, value, where, want.__name__)
+    return value
+
+
+def _expect(kind, value, where: str, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{where} must be {what}, got {value!r}")

@@ -27,9 +27,9 @@ seed lineage, `lora` once, each adapter's A and B, and `base_ref`, the path
 of the full checkpoint its frozen base was loaded from (`share_base`),
 relative to the adapter file, with its `base_digest`. It is saved over no
 other base. `load_checkpoint` returns the full model for either kind, and
-refuses a file it cannot read, a format version it does not know, a LoRA
-setting or shape that does not fit, and a base whose config or digest is
-not the one referenced.
+refuses a file it cannot read, a format version it does not know, settings
+of the wrong type, a LoRA setting, shape or adapter set that does not fit,
+and a base whose config or digest is not the one referenced.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from voxmix import numerics as nm
-from voxmix.files import atomic_write
+from voxmix.files import atomic_write, read_settings
 from voxmix.numerics import Tensor
 from voxmix.synthdata import VOCAB_SIZE
 
@@ -126,11 +126,12 @@ class TranscriberModel:
         self.base_file: BaseFile | None = None
         self.enc_pos = _sinusoidal_positions(config.max_audio_frames, config.hidden_dim)
 
-    def attention_prefixes(self) -> list[str]:
-        out = [f"enc.{i}.attn" for i in range(self.config.encoder_layers)]
+    def adapted_projections(self) -> list[str]:
+        """The ADAPTED projections of every attention, in the order adapters attach."""
+        prefixes = [f"enc.{i}.attn" for i in range(self.config.encoder_layers)]
         for i in range(self.config.decoder_layers):
-            out.extend([f"dec.{i}.self", f"dec.{i}.cross"])
-        return out
+            prefixes.extend([f"dec.{i}.self", f"dec.{i}.cross"])
+        return [f"{prefix}.{m}" for prefix in prefixes for m in ADAPTED]
 
 
 def _sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -202,12 +203,11 @@ def attach_adapters(model: TranscriberModel, lora: LoraSpec, seed: int) -> None:
     h = model.config.hidden_dim
     a_std = 1.0 / math.sqrt(h)
     model.lora = lora
-    for prefix in model.attention_prefixes():
-        for m in ADAPTED:
-            model.adapters[f"{prefix}.{m}"] = LoraAdapter(
-                a=Tensor(rng.normal(0.0, a_std, size=(lora.rank, h)), requires_grad=True),
-                b=Tensor(np.zeros((h, lora.rank)), requires_grad=True),
-            )
+    for name in model.adapted_projections():
+        model.adapters[name] = LoraAdapter(
+            a=Tensor(rng.normal(0.0, a_std, size=(lora.rank, h)), requires_grad=True),
+            b=Tensor(np.zeros((h, lora.rank)), requires_grad=True),
+        )
 
 
 def _proj(model, prefix, matrix, x, train_mode, rng):
@@ -457,8 +457,8 @@ def load_checkpoint(path, base: TranscriberModel | None = None) -> tuple[Transcr
     frozen arrays of `base` (see share_base); without a `base`, the
     referenced full checkpoint is loaded. A full checkpoint ignores `base`.
     Raises ValueError, naming the file, for an unreadable or foreign file,
-    an unknown format version, a LoRA setting or a shape that does not fit,
-    or a base whose config or base_digest is not the referenced one.
+    an unknown format version, a LoRA setting, a shape or a set of adapters
+    that does not fit, or a base whose config or base_digest is not the referenced one.
     """
     doc = _read_checkpoint(path)
     try:
@@ -489,7 +489,7 @@ def _read_checkpoint(path) -> dict:
 
 
 def _full_model(path, doc: dict) -> TranscriberModel:
-    config = ModelConfig(**doc["config"])
+    config = read_settings(ModelConfig, doc["config"], "config")
     params = {name: Tensor(_decode_array(obj), requires_grad=True) for name, obj in doc["base"].items()}
     want = {name: shape for name, (_, shape) in _param_layout(config).items()}
     got = {name: t.values.shape for name, t in params.items()}
@@ -515,7 +515,7 @@ def _adapted_model(path, doc: dict, base: TranscriberModel | None) -> Transcribe
             raise ValueError(f"{path}: its base {base_path} is not a full {FULL_KIND}")
         base = _full_model(base_path, base_doc)
     where = base.file.path if base.file else "the given base"
-    config = ModelConfig(**doc["config"])
+    config = read_settings(ModelConfig, doc["config"], "config")
     if config != base.config:
         raise ValueError(f"{path}: config {config} does not match the config of {where}: {base.config}")
     digest = base_digest(base)
@@ -526,11 +526,11 @@ def _adapted_model(path, doc: dict, base: TranscriberModel | None) -> Transcribe
         )
     model = share_base(base)
     try:
-        model.lora = LoraSpec(**doc["lora"])
+        model.lora = read_settings(LoraSpec, doc["lora"], "lora")
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
     h, rank = config.hidden_dim, model.lora.rank
-    known = {f"{prefix}.{m}" for prefix in model.attention_prefixes() for m in ADAPTED}
+    known = model.adapted_projections()
     for name, obj in doc["adapters"].items():
         a, b = _decode_array(obj["a"]), _decode_array(obj["b"])
         if name not in known or a.shape != (rank, h) or b.shape != (h, rank):
@@ -539,4 +539,6 @@ def _adapted_model(path, doc: dict, base: TranscriberModel | None) -> Transcribe
                 f"lora.rank is {rank}, hidden_dim is {h} and the adapted projections are {sorted(known)}"
             )
         model.adapters[name] = LoraAdapter(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+    if missing := [name for name in known if name not in model.adapters]:
+        raise ValueError(f"{path}: adapters missing for the adapted projections {missing}")
     return model

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from voxmix.files import atomic_write
+from voxmix.files import atomic_write, read_settings
 
 CORPUS_VERSION = 1  # format version of a corpus file's header
 
@@ -117,10 +117,6 @@ class GenConfig:
     distractor_seed: int = 11
 
     def __post_init__(self):
-        self.word_len = tuple(self.word_len)
-        self.words_per_line = tuple(self.words_per_line)
-        self.lines_per_song = tuple(self.lines_per_song)
-        self.gain_range = tuple(self.gain_range)
         if self.jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         g_lo, g_hi = self.gain_range
@@ -304,7 +300,7 @@ def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
             if header.get("version") != CORPUS_VERSION:
                 raise ValueError(f"{path}: corpus format version {header.get('version')!r}, "
                                  f"expected {CORPUS_VERSION}")
-            cfg = GenConfig(**header["gen"])
+            cfg = read_settings(GenConfig, header["gen"], "gen")
             tables: dict[str, SongTables] = {}
             songs: dict[tuple[str, int], list[PairedSample]] = {}
             samples = []

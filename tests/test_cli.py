@@ -1,12 +1,14 @@
+import copy
 import hashlib
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from voxmix import cli, model
+from voxmix import cli, model, numerics, training
 
 from voxmix.cli import (
     ExperimentSpec,
@@ -26,11 +28,10 @@ from voxmix.cli import (
     load_spec,
     main,
     save_spec,
-    spec_from_doc,
-    spec_to_doc,
     transcript_path,
 )
 from voxmix.decoding import DecodeConfig
+from voxmix.files import read_settings
 from voxmix.losses import LossConfig
 from voxmix.model import ModelConfig
 from voxmix.synthdata import GenConfig, build_corpus, corpus_digest, load_corpus
@@ -100,22 +101,23 @@ def test_spec_round_trip(tmp_path):
 
 
 def test_spec_rejects_unknown_fields(tmp_path):
-    doc = spec_to_doc(micro_spec("x"))
+    # a key off the spec's shape is a TypeError, as for keyword arguments
+    doc = asdict(micro_spec("x"))
     doc["gpu"] = True
-    with pytest.raises(ValueError, match="gpu"):
-        spec_from_doc(doc)
-    doc2 = spec_to_doc(micro_spec("x"))
+    with pytest.raises(TypeError, match=r"unknown fields in ExperimentSpec: \['gpu'\]"):
+        read_settings(ExperimentSpec, doc)
+    doc2 = asdict(micro_spec("x"))
     doc2["model"]["layers"] = 3
-    with pytest.raises(ValueError, match="layers"):
-        spec_from_doc(doc2)
-    doc3 = spec_to_doc(micro_spec("x"))
+    with pytest.raises(TypeError, match=r"unknown fields in model: \['layers'\]"):
+        read_settings(ExperimentSpec, doc2)
+    doc3 = asdict(micro_spec("x"))
     doc3["finetune"]["momentum"] = 0.9
-    with pytest.raises(ValueError, match="momentum"):
-        spec_from_doc(doc3)
-    doc4 = spec_to_doc(micro_spec("x"))
-    doc4["strategies"][1]["temperature"] = 1.0
-    with pytest.raises(ValueError, match="temperature"):
-        spec_from_doc(doc4)
+    with pytest.raises(TypeError, match=r"unknown fields in finetune: \['momentum'\]"):
+        read_settings(ExperimentSpec, doc3)
+    doc4 = asdict(micro_spec("x"))
+    doc4["strategies"][1]["loss"]["temperature"] = 1.0
+    with pytest.raises(TypeError, match=r"unknown fields in strategies\[1\].loss: \['temperature'\]"):
+        read_settings(ExperimentSpec, doc4)
 
 
 def test_spec_rejects_duplicate_strategy_ids(tmp_path):
@@ -156,7 +158,7 @@ def test_spec_accepts_plan_settings_at_their_bounds():
 
 def test_grid_with_a_bad_finetune_plan_writes_nothing(tmp_path):
     out = tmp_path / "out"
-    doc = spec_to_doc(micro_spec(str(out)))
+    doc = asdict(micro_spec(str(out)))
     doc["finetune"]["total_steps"] = 1
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(doc))
@@ -187,13 +189,14 @@ CORPUS_MISFITS = [
 
 def _refused_before_anything_is_written(tmp_path, edits, message):
     out = tmp_path / "out"
-    doc = spec_to_doc(micro_spec(str(out)))
+    doc = asdict(micro_spec(str(out)))
     for section, values in edits.items():
         doc[section].update(values)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as err:
         load_spec(spec_path)
+    assert str(err.value).startswith(f"{spec_path}: ")
     with pytest.raises(ValueError, match=message):
         main(["grid", "--spec", str(spec_path)])
     assert not out.exists()
@@ -217,6 +220,8 @@ LATE_FAILURES = {
                       r"got \['dev', 'pretrain', 'test', 'train', 'valid'\]"),
     "adam_constants": ({"pretrain": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}},
                        r"unknown fields in pretrain: \['beta1', 'beta2', 'eps'\]"),
+    "pretrain_seed_off_the_list": ({"pretrain": {"seed": 3}},
+                                   r"pretrain seed 3 is not in the seeds list \[0, 1\]"),
 }
 
 
@@ -230,7 +235,7 @@ def _drop_decode(doc):
 
 
 def _drop_a_strategy_id(doc):
-    del doc["strategies"][0]["id"]
+    del doc["strategies"][0]["cell_id"]
 
 
 def _hidden_dim_as_text(doc):
@@ -247,15 +252,15 @@ def _override_as_text(doc):
 
 @pytest.mark.parametrize("damage, cause", [
     (None, "JSONDecodeError: "),
-    (_drop_decode, "KeyError: 'decode'"),
-    (_drop_a_strategy_id, "KeyError: 'id'"),
+    (_drop_decode, "TypeError: missing fields in ExperimentSpec: ['decode'])"),
+    (_drop_a_strategy_id, "TypeError: missing fields in strategies[0]: ['cell_id'])"),
     (_hidden_dim_as_text, "TypeError: model.hidden_dim must be int, got '32'"),
     (_strategy_as_text, "TypeError: strategies[0] must be an object, got 'voc')"),
     (_override_as_text, "TypeError: pretrain_gen_overrides.jitter must be float, got '0.25')"),
 ], ids=["truncated", "no_decode", "strategy_without_id", "hidden_dim_as_text", "strategy_as_text",
         "override_as_text"])
 def test_malformed_spec_names_the_file_and_the_cause(tmp_path, damage, cause):
-    doc = spec_to_doc(micro_spec(str(tmp_path / "out")))
+    doc = asdict(micro_spec(str(tmp_path / "out")))
     text = json.dumps(doc)
     if damage is None:
         text = text[: len(text) // 2]
@@ -289,7 +294,8 @@ SPEC_FIELDS = [
     "pretrain.warmup_frac",
     "pretrain_gen_overrides.gain_range", "pretrain_gen_overrides.jitter",
     "seeds",
-    "strategies.*.cns_kind", "strategies.*.id", "strategies.*.strategy", "strategies.*.weight",
+    "strategies.*.cell_id", "strategies.*.loss.cns_kind", "strategies.*.loss.strategy",
+    "strategies.*.loss.weight",
 ]
 
 
@@ -302,7 +308,66 @@ def _dotted_keys(value, prefix: str) -> set[str]:
 
 
 def test_the_settable_fields_of_a_spec_are_pinned():
-    assert sorted(_dotted_keys(spec_to_doc(default_spec()), "")) == SPEC_FIELDS
+    assert sorted(_dotted_keys(asdict(default_spec()), "")) == SPEC_FIELDS
+
+
+def _path_of(key: str) -> list[str]:
+    """The steps to the leaf a dotted SPEC_FIELDS key names; a strategy's are under entry 0."""
+    return key.replace("*", "0").split(".")
+
+
+def _at(doc, steps: list[str]):
+    for step in steps:
+        doc = doc[int(step)] if isinstance(doc, list) else doc[step]
+    return doc
+
+
+def _spec_file_with(tmp_path, key: str, value) -> Path:
+    """micro_spec's document, writing to tmp_path/out, saved with the leaf at `key` set to `value`."""
+    doc = json.loads(json.dumps(asdict(micro_spec(str(tmp_path / "out")))))
+    *parents, leaf = _path_of(key)
+    _at(doc, parents)[leaf] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _refused_as_the_wrong_type(path: Path, field: str) -> None:
+    with pytest.raises(ValueError) as err:
+        load_spec(path)
+    assert str(err.value).startswith(f"{path}: malformed spec (TypeError: {field} must be ")
+
+
+@pytest.mark.parametrize("wrong", ["other_type", "bool"])
+@pytest.mark.parametrize("key", SPEC_FIELDS)
+def test_load_spec_refuses_a_field_of_the_wrong_type_by_name(tmp_path, key, wrong):
+    leaf = _at(asdict(micro_spec("x")), _path_of(key))
+    value = True if wrong == "bool" else 5 if isinstance(leaf, str) else "5"
+    _refused_as_the_wrong_type(_spec_file_with(tmp_path, key, value), key.replace(".*", "[0]"))
+
+
+# values of the wrong type that earlier spec readers accepted, or refused
+# without naming the field, and the field the refusal names
+WRONG_TYPES = {
+    "languages_as_text": ("gen.languages", "ab", "gen.languages"),
+    "split_size_float": ("corpus_songs.dev", 2.5, "corpus_songs.dev"),
+    "split_size_text": ("corpus_songs.dev", "2", "corpus_songs.dev"),
+    "seed_float": ("seeds", [0, 1.5], "seeds[1]"),
+    "seed_bool": ("seeds", [0, True], "seeds[1]"),
+    "seeds_text": ("seeds", "01", "seeds"),
+    "out_dir_int": ("out_dir", 5, "out_dir"),
+    "word_len_text": ("gen.word_len", [2, "3"], "gen.word_len[1]"),
+    "word_len_short": ("gen.word_len", [2], "gen.word_len"),
+}
+
+
+@pytest.mark.parametrize("key, value, field", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_grid_with_a_value_of_the_wrong_type_writes_nothing(tmp_path, key, value, field):
+    path = _spec_file_with(tmp_path, key, value)
+    _refused_as_the_wrong_type(path, field)
+    with pytest.raises(ValueError, match="malformed spec"):
+        main(["grid", "--spec", str(path)])
+    assert not (tmp_path / "out").exists()
 
 
 def test_spec_accepts_a_corpus_at_the_model_limits():
@@ -323,7 +388,7 @@ def test_spec_refuses_a_finetune_seed_it_would_ignore(tmp_path):
     message = r"finetune.seed must be 0, got 7: fine-tune seeds come from seeds \[0, 1\]"
     with pytest.raises(ValueError, match=message):
         replace(spec, finetune=replace(spec.finetune, seed=7))
-    doc = spec_to_doc(spec)
+    doc = asdict(spec)
     doc["finetune"]["seed"] = 7
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -333,8 +398,8 @@ def test_spec_refuses_a_finetune_seed_it_would_ignore(tmp_path):
 
 def test_spec_refuses_a_consistency_setting_its_strategy_ignores(tmp_path):
     out = tmp_path / "out"
-    doc = spec_to_doc(micro_spec(str(out)))
-    doc["strategies"][0].update(weight=0.5)
+    doc = asdict(micro_spec(str(out)))
+    doc["strategies"][0]["loss"].update(weight=0.5)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     message = "strategy 'voc' takes no weight: it applies to cns only, got weight=0.5"
@@ -364,8 +429,6 @@ def test_gen_data_test_split_has_both_conditions(tmp_path):
     spec = micro_spec(str(out))
     cmd_gen_data(spec, out)
     _, test = load_corpus(corpus_path(out, "test"))
-    import numpy as np
-
     # voc condition is interference-free by construction; mix carries gain > 0
     assert all(s.gain >= spec.gen.gain_range[0] for s in test)
     assert any(not np.array_equal(s.x_v, s.x_m) for s in test)
@@ -590,6 +653,61 @@ def test_finetune_on_truncated_base_names_the_file(grid_out, tmp_path):
     with pytest.raises(ValueError, match="truncated") as err:
         cmd_finetune(spec, out, "voc", seed=0)
     assert str(base) in str(err.value)
+
+
+def test_an_adapters_file_missing_adapters_is_refused(grid_out, tmp_path):
+    path = cell_dir(_copy_of(grid_out, tmp_path), "voc", 0) / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    dropped = sorted(name for name in doc["adapters"] if name.startswith("dec."))
+    assert len(dropped) == 8
+    for name in dropped:
+        del doc["adapters"][name]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        model.load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: adapters missing")
+    assert all(name in str(err.value) for name in dropped)
+
+
+def test_the_cells_of_a_seed_are_paired(grid_out, tmp_path, monkeypatch):
+    # voc, mix and random draw the same samples at every step; both and cns see
+    # the same padded rows and draw the same dropout masks, which depend only on
+    # shape, rate and RNG state. Paired comparisons between cells rest on this.
+    out = _copy_of(grid_out, tmp_path)
+    ids = ["voc", "mix", "random", "both", "cns_l1_w10.0"]
+    cells = {c.cell_id: c for c in default_spec().strategies}
+    spec = replace(grid_out[0], strategies=[cells[i] for i in ids],
+                   finetune=replace(grid_out[0].finetune, total_steps=4))
+    logs = {}
+
+    def batches(corpus, batch_size, rng, orig=training._batches):
+        for batch in orig(corpus, batch_size, rng):
+            log["batches"].append([s.sample_id for s in batch])
+            yield batch
+
+    def pad_batch(rows, orig=training.pad_batch):
+        log["pad"].append(orig(rows))
+        return log["pad"][-1]
+
+    def dropout(a, rate, rng, orig=numerics.dropout):
+        log["dropout"].append((a.values.shape, rate, copy.deepcopy(rng.bit_generator.state)))
+        return orig(a, rate, rng)
+
+    monkeypatch.setattr(training, "_batches", batches)
+    monkeypatch.setattr(training, "pad_batch", pad_batch)
+    monkeypatch.setattr(numerics, "dropout", dropout)
+    base, train = cli._load_base(out), cli._load_split(out, "train")
+    for cell_id in ids:
+        log = logs[cell_id] = {"batches": [], "pad": [], "dropout": []}
+        cmd_finetune(spec, out, cell_id, 1, base=base, train=train)
+
+    assert all(len(logs[i]["batches"]) == 4 for i in ids)
+    assert all(logs[i]["batches"] == logs["voc"]["batches"] for i in ids)
+    both, cns = logs["both"], logs["cns_l1_w10.0"]
+    assert len(both["pad"]) == 4 and len(both["dropout"]) == 4 * 12
+    for got, want in zip(cns["pad"], both["pad"], strict=True):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    assert cns["dropout"] == both["dropout"]
 
 
 def test_moved_output_directory_still_decodes(grid_out, tmp_path):

@@ -290,9 +290,11 @@ def test_adapter_rank_is_the_row_count_of_a(adapted_model, config):
 
 
 def test_adapters_sit_on_the_adapted_projections_of_every_attention(adapted_model):
-    prefixes = adapted_model.attention_prefixes()
-    assert len(adapted_model.adapters) == len(prefixes) * len(ADAPTED)
-    assert set(adapted_model.adapters) == {f"{p}.{m}" for p in prefixes for m in ADAPTED}
+    cfg = adapted_model.config
+    prefixes = [f"enc.{i}.attn" for i in range(cfg.encoder_layers)]
+    prefixes += [f"dec.{i}.{kind}" for i in range(cfg.decoder_layers) for kind in ("self", "cross")]
+    assert list(adapted_model.adapters) == [f"{p}.{m}" for p in prefixes for m in ADAPTED]
+    assert adapted_model.adapted_projections() == list(adapted_model.adapters)
 
 
 def test_manual_finetune_update_keeps_base_digest(adapted_model, config):
@@ -477,6 +479,20 @@ def test_adapter_checkpoint_refuses_an_adapter_off_the_adapted_projections(tmp_p
         load_checkpoint(path)
     assert str(path) in str(err.value)
     assert all(f"enc.0.attn.{m}" in str(err.value) for m in ADAPTED)
+
+
+@pytest.mark.parametrize("rel, key, field, value", [
+    ("checkpoints/base.json", "config", "hidden_dim", 32.0),
+    ("cells/c/checkpoint.json", "config", "hidden_dim", 32.0),
+    ("cells/c/checkpoint.json", "lora", "rank", "4"),
+], ids=["full_hidden_dim_float", "adapters_hidden_dim_float", "adapters_rank_text"])
+def test_checkpoint_refuses_a_setting_of_the_wrong_type(tmp_path, rel, key, field, value):
+    _cell_over_saved_base(tmp_path)
+    path = tmp_path / rel
+    _edit(path, lambda doc: doc[key].update({field: value}))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: malformed checkpoint (TypeError: {key}.{field} must be ")
 
 
 def test_full_checkpoint_refuses_weights_that_do_not_fit_its_config(base_model, tmp_path):

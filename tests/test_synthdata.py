@@ -1,9 +1,10 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from voxmix.files import read_settings
 from voxmix.synthdata import (
     BOS_ID,
     EOS_ID,
@@ -204,8 +205,10 @@ def test_split_seed_ranges_are_disjoint(cfg):
 
 
 def test_split_config_overrides(cfg):
-    # a spec's pretrain overrides arrive from JSON, with lists for tuples
-    pre = replace(cfg, jitter=0.1, gain_range=[0.0, 0.0])
+    # a spec's pretrain overrides arrive from JSON, with lists for tuples, and
+    # are read over the spec's gen as one GenConfig
+    overrides = {"jitter": 0.1, "gain_range": [0.0, 0.0]}
+    pre = read_settings(GenConfig, {**asdict(cfg), **overrides}, "pretrain_gen_overrides")
     assert pre.jitter == 0.1
     assert pre.gain_range == (0.0, 0.0)
     assert pre.languages == cfg.languages
@@ -236,12 +239,19 @@ def _unknown_gen_field(lines):
     lines[0] = lines[0].replace('"gen": {', '"gen": {"tempo": 120, ')
 
 
+def _languages_as_text(lines):
+    header = json.loads(lines[0])
+    header["gen"]["languages"] = "ab"
+    lines[0] = json.dumps(header, sort_keys=True)
+
+
 @pytest.mark.parametrize("damage, message", [
     (_damage_record, r": line 4: malformed \(JSONDecodeError: "),
     (_changed_text, r": line 3: record toyla-0-\d+ does not regenerate: stored '"),
     (_version_2, r": corpus format version 2, expected 1$"),
-    (_unknown_gen_field, r": line 1: malformed \(TypeError: .*'tempo'"),
-], ids=["damaged_record", "changed_text", "version_2", "unknown_gen_field"])
+    (_unknown_gen_field, r": line 1: malformed \(TypeError: unknown fields in gen: \['tempo'\]\)$"),
+    (_languages_as_text, r": line 1: malformed \(TypeError: gen.languages must be a list, got 'ab'\)$"),
+], ids=["damaged_record", "changed_text", "version_2", "unknown_gen_field", "languages_as_text"])
 def test_load_refuses_a_damaged_corpus_naming_the_file(cfg, tmp_path, damage, message):
     path = tmp_path / "train.jsonl"
     write_corpus(path, cfg, build_corpus(cfg, songs_per_language=2, seed_base=0))
