@@ -8,8 +8,10 @@ jobs and may run in parallel worker processes. A spec file holds
 `asdict(spec)`, read back through `files.read_settings`. Each setting is checked
 when the spec is built, by the class that owns it (`training.PhasePlanSpec`,
 `model.LoraSpec`) or against the model and splits by `ExperimentSpec`, so a
-setting that would fail later stops a command before it writes anything;
-every refusal of `load_spec` is a ValueError that starts with the file's path.
+setting that would fail later stops a command before it writes anything.
+Every refusal of `load_spec` is a ValueError that starts with the file's path
+(see files.refusing), then names the field and states the rule, as in
+`<path>: pretrain: total_steps must be >= 2, got 1`.
 Each phase trains on `TrainPlan(loss, plan)`; the model's adapters, if any,
 say what trains.
 
@@ -39,7 +41,7 @@ import numpy as np
 
 from voxmix.decoding import DecodeConfig, transcribe_batch
 from voxmix.evaluation import CONDITIONS, aggregate, comparison_markdown, report_csv, wer
-from voxmix.files import atomic_write, read_settings
+from voxmix.files import atomic_write, read_settings, refusing
 from voxmix.losses import LossConfig
 from voxmix.model import (
     LoraSpec,
@@ -51,6 +53,7 @@ from voxmix.model import (
     share_base,
 )
 from voxmix.synthdata import (
+    VOCAB_SIZE,
     GenConfig,
     PairedSample,
     build_corpus,
@@ -85,8 +88,6 @@ class ExperimentSpec:
     decode: DecodeConfig
 
     def __post_init__(self):
-        self.pretrain.check("pretrain")
-        self.finetune.check("finetune")
         if self.finetune.seed != 0:
             raise ValueError(f"finetune.seed must be 0, got {self.finetune.seed}: "
                              f"fine-tune seeds come from seeds {self.seeds}")
@@ -120,6 +121,8 @@ def _check_corpus_feeds_model(gen: GenConfig, model: ModelConfig, split: str) ->
     frames = (n - 1) * gen.frames_per_token
     seg = f"gen.segment_max_frames {gen.segment_max_frames} makes segments of up to"
     for bad, message in (
+        (model.vocab_size < VOCAB_SIZE,
+         f"model.vocab_size {model.vocab_size} is under the tokenizer's {VOCAB_SIZE} ids"),
         (gen.feature_dim != model.feature_dim,
          f"gen.feature_dim {gen.feature_dim} differs from model.feature_dim {model.feature_dim}"),
         (frames > model.max_audio_frames,
@@ -168,14 +171,10 @@ def default_spec(out_dir: str = "runs/default") -> ExperimentSpec:
 
 
 def load_spec(path) -> ExperimentSpec:
-    """The spec at `path`; a file without a valid spec raises a ValueError starting with the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return read_settings(ExperimentSpec, json.load(fh))
-    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as err:
-        raise ValueError(f"{path}: malformed spec ({type(err).__name__}: {err})") from err
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    """The spec at `path`; a file without a valid spec raises a ValueError starting
+    with the path (see files.refusing)."""
+    with refusing(path, "spec"), open(path, "r", encoding="utf-8") as fh:
+        return read_settings(ExperimentSpec, json.load(fh))
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:

@@ -1,15 +1,16 @@
-"""Atomic file writes, and one typed reader for the settings a file holds.
+"""Atomic file writes; one refusal frame and one typed reader for the files read back.
 
-Every file the pipeline emits (corpora, the spec, metrics logs,
-checkpoints, transcripts and reports) is written through `atomic_write`,
-so a run killed or failing mid-write never leaves a half-written file that
-a later stage would trust. The spec, a corpus header's `gen` and a
-checkpoint's `config` and `lora` are read back through `read_settings`.
+Every file the pipeline emits (corpora, the spec, metrics logs, checkpoints,
+transcripts and reports) is written through `atomic_write`, so a run killed
+mid-write never leaves a half-written file that a later stage would trust.
+A refused read names the file in `refusing`, which every reader runs inside,
+the field in `read_settings`, and the rule in the settings class's `__post_init__`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import typing
 from contextlib import contextmanager
@@ -45,13 +46,27 @@ def atomic_write(path, partial=None):
             os.remove(tmp)
 
 
+@contextmanager
+def refusing(path, what: str):
+    """Refuse what a reader's body refuses as `<path>: malformed <what> (<Error>: ...)`
+    for a parse or shape error and `<path>: <message>` for another ValueError; an
+    OSError passes as it is. A frame nested in another's reads `<outer>: <path>: ...`."""
+    try:
+        yield
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, IndexError) as err:
+        raise ValueError(f"{path}: malformed {what} ({type(err).__name__}: {err})") from err
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def read_settings(want, value, where: str = ""):
     """`value`, parsed from JSON, read as the type `want`; `where` is its dotted name.
 
     `want` is a dataclass (an object with each of its fields and no other),
     `list[T]`, `tuple[T1, ...]` of that length, `dict`, `dict[str, T]`, `int`,
     `float` (an int will do) or `str`; no bool is a number. The wrong shape raises
-    a TypeError naming the field, as in `gen.word_len[1] must be int, got '3'`."""
+    a TypeError naming the field, as in `gen.word_len[1] must be int, got '3'`; a nested
+    dataclass's refusal is prefixed with it, as in `config: hidden_dim 32 not divisible ...`."""
     origin, args = typing.get_origin(want), typing.get_args(want)
     if dataclasses.is_dataclass(want):
         hints, label = typing.get_type_hints(want), where or want.__name__
@@ -59,7 +74,11 @@ def read_settings(want, value, where: str = ""):
         for what, names in (("unknown", value.keys() - hints), ("missing", hints.keys() - value)):
             if names:
                 raise TypeError(f"{what} fields in {label}: {sorted(names)}")
-        return want(**{k: read_settings(t, value[k], f"{where}.{k}".lstrip(".")) for k, t in hints.items()})
+        fields = {k: read_settings(t, value[k], f"{where}.{k}".lstrip(".")) for k, t in hints.items()}
+        try:
+            return want(**fields)
+        except ValueError as err:  # the class states the rule, `where` names the field
+            raise ValueError(f"{where}: {err}" if where else str(err)) from err
     if want is dict or origin is dict:  # a bare dict's values are for its owner to check
         _expect(dict, value, where, "an object")
         return {k: read_settings(args[1], v, f"{where}.{k}") if args else v for k, v in value.items()}

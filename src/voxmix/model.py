@@ -27,9 +27,10 @@ seed lineage, `lora` once, each adapter's A and B, and `base_ref`, the path
 of the full checkpoint its frozen base was loaded from (`share_base`),
 relative to the adapter file, with its `base_digest`. It is saved over no
 other base. `load_checkpoint` returns the full model for either kind, and
-refuses a file it cannot read, a format version it does not know, settings
-of the wrong type, a LoRA setting, shape or adapter set that does not fit,
-and a base whose config or digest is not the one referenced.
+refuses, naming the file, one it cannot read, a format version it does not
+know, a setting of the wrong type or out of its class's range, a shape or
+adapter set that does not fit, and a base whose config or digest is not the
+one referenced.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from voxmix import numerics as nm
-from voxmix.files import atomic_write, read_settings
+from voxmix.files import atomic_write, read_settings, refusing
 from voxmix.numerics import Tensor
 from voxmix.synthdata import VOCAB_SIZE
 
@@ -85,9 +86,9 @@ class LoraSpec:
 
     def __post_init__(self):
         if self.rank < 1:
-            raise ValueError(f"lora.rank must be >= 1, got {self.rank!r}")
+            raise ValueError(f"rank must be >= 1, got {self.rank!r}")
         if not 0 <= self.dropout < 1:
-            raise ValueError(f"lora.dropout must be in [0, 1), got {self.dropout!r}")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
 
 
 @dataclass
@@ -456,49 +457,40 @@ def load_checkpoint(path, base: TranscriberModel | None = None) -> tuple[Transcr
     For an adapters-only checkpoint the adapters go on a model sharing the
     frozen arrays of `base` (see share_base); without a `base`, the
     referenced full checkpoint is loaded. A full checkpoint ignores `base`.
-    Raises ValueError, naming the file, for an unreadable or foreign file,
-    an unknown format version, a LoRA setting, a shape or a set of adapters
-    that does not fit, or a base whose config or base_digest is not the referenced one.
+    Raises a ValueError starting with the path (see files.refusing) for an
+    unreadable or foreign file, an unknown format version, a setting its class
+    refuses, a shape or a set of adapters that does not fit, or a base whose
+    config or base_digest is not the referenced one; a damaged referenced base
+    is named after the adapters file, as `<path>: <base path>: ...`.
     """
-    doc = _read_checkpoint(path)
-    try:
-        if doc["kind"] == FULL_KIND:
-            model = _full_model(path, doc)
-        else:
-            model = _adapted_model(path, doc, base)
-        return model, doc["seed_lineage"]
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"{path}: malformed checkpoint ({type(err).__name__}: {err})") from err
+    with refusing(path, "checkpoint"):
+        doc = _read_checkpoint(path)
+        model = _full_model(path, doc) if doc["kind"] == FULL_KIND else _adapted_model(path, doc, base)
+        return model, read_settings(dict, doc["seed_lineage"], "seed_lineage")
 
 
 def _read_checkpoint(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ValueError(f"{path} is not a readable checkpoint (truncated or not JSON): {err}") from err
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in (FULL_KIND, ADAPTERS_KIND):
-        raise ValueError(f"{path} is not a voxmix checkpoint")
+        raise ValueError("not a voxmix checkpoint")
     if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unknown {kind} format version {doc.get('version')!r}; "
-            f"this reader knows version {FORMAT_VERSION}"
-        )
+        raise ValueError(f"unknown {kind} format version {doc.get('version')!r}; "
+                         f"this reader knows version {FORMAT_VERSION}")
     return doc
 
 
 def _full_model(path, doc: dict) -> TranscriberModel:
     config = read_settings(ModelConfig, doc["config"], "config")
-    params = {name: Tensor(_decode_array(obj), requires_grad=True) for name, obj in doc["base"].items()}
+    base = read_settings(dict, doc["base"], "base")
+    params = {name: Tensor(_decode_array(obj), requires_grad=True) for name, obj in base.items()}
     want = {name: shape for name, (_, shape) in _param_layout(config).items()}
     got = {name: t.values.shape for name, t in params.items()}
     if got != want:
         bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
-        raise ValueError(
-            f"{path}: base weights do not fit its config: "
-            + ", ".join(f"{n} {got.get(n)} (want {want.get(n)})" for n in bad[:4])
-        )
+        raise ValueError("base weights do not fit its config: "
+                         + ", ".join(f"{n} {got.get(n)} (want {want.get(n)})" for n in bad[:4]))
     model = TranscriberModel(config, params)
     model.file = BaseFile(os.path.normpath(os.path.abspath(path)), base_digest(model))
     return model
@@ -510,35 +502,30 @@ def _adapted_model(path, doc: dict, base: TranscriberModel | None) -> Transcribe
     if base is None:
         if not os.path.exists(base_path):
             raise FileNotFoundError(f"{path}: its base checkpoint {base_path} does not exist")
-        base_doc = _read_checkpoint(base_path)
-        if base_doc["kind"] != FULL_KIND:
-            raise ValueError(f"{path}: its base {base_path} is not a full {FULL_KIND}")
-        base = _full_model(base_path, base_doc)
+        with refusing(base_path, "checkpoint"):
+            base_doc = _read_checkpoint(base_path)
+            if base_doc["kind"] != FULL_KIND:
+                raise ValueError(f"a {ADAPTERS_KIND} file, not the full {FULL_KIND} a base must be")
+            base = _full_model(base_path, base_doc)
     where = base.file.path if base.file else "the given base"
     config = read_settings(ModelConfig, doc["config"], "config")
     if config != base.config:
-        raise ValueError(f"{path}: config {config} does not match the config of {where}: {base.config}")
-    digest = base_digest(base)
-    if digest != ref["base_digest"]:
-        raise ValueError(
-            f"{path}: base digest mismatch: the checkpoint refers to base_digest "
-            f"{ref['base_digest']}, {where} has {digest}"
-        )
+        raise ValueError(f"config {config} does not match the config of {where}: {base.config}")
+    if (digest := base_digest(base)) != ref["base_digest"]:
+        raise ValueError(f"base digest mismatch: the checkpoint refers to base_digest "
+                         f"{ref['base_digest']}, {where} has {digest}")
     model = share_base(base)
-    try:
-        model.lora = read_settings(LoraSpec, doc["lora"], "lora")
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    model.lora = read_settings(LoraSpec, doc["lora"], "lora")
     h, rank = config.hidden_dim, model.lora.rank
     known = model.adapted_projections()
-    for name, obj in doc["adapters"].items():
+    for name, obj in read_settings(dict, doc["adapters"], "adapters").items():
         a, b = _decode_array(obj["a"]), _decode_array(obj["b"])
         if name not in known or a.shape != (rank, h) or b.shape != (h, rank):
             raise ValueError(
-                f"{path}: adapter {name} (A {a.shape}, B {b.shape}) does not fit the model: "
+                f"adapter {name} (A {a.shape}, B {b.shape}) does not fit the model: "
                 f"lora.rank is {rank}, hidden_dim is {h} and the adapted projections are {sorted(known)}"
             )
         model.adapters[name] = LoraAdapter(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
     if missing := [name for name in known if name not in model.adapters]:
-        raise ValueError(f"{path}: adapters missing for the adapted projections {missing}")
+        raise ValueError(f"adapters missing for the adapted projections {missing}")
     return model

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from voxmix.files import atomic_write, read_settings
+from voxmix.files import atomic_write, read_settings, refusing
 
 CORPUS_VERSION = 1  # format version of a corpus file's header
 
@@ -289,38 +289,36 @@ def write_corpus(path, cfg: GenConfig, samples: list[PairedSample]) -> None:
 
 
 def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
-    """A corpus file's gen config and samples; a damaged file, or one of another
-    kind or version, raises a ValueError naming it and the line where one applies."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lineno = 1
-        try:
+    """A corpus file's gen config and samples. It reads inside `files.refusing`, so a
+    damaged file, one of another kind or version, or a record whose language the
+    header does not list raises a ValueError naming the file and the line."""
+    with refusing(path, "corpus"), open(path, "r", encoding="utf-8") as fh:
+        with refusing("line 1", "header"):
             header = json.loads(fh.readline())
             if not isinstance(header, dict) or header.get("kind") != "voxmix-corpus":
-                raise ValueError(f"{path} is not a voxmix corpus file")
+                raise ValueError("not a voxmix corpus file")
             if header.get("version") != CORPUS_VERSION:
-                raise ValueError(f"{path}: corpus format version {header.get('version')!r}, "
+                raise ValueError(f"corpus format version {header.get('version')!r}, "
                                  f"expected {CORPUS_VERSION}")
             cfg = read_settings(GenConfig, header["gen"], "gen")
-            tables: dict[str, SongTables] = {}
-            songs: dict[tuple[str, int], list[PairedSample]] = {}
-            samples = []
-            for lineno, line in enumerate(fh, start=2):
+        tables = {lang: song_tables(cfg, lang) for lang in cfg.languages}
+        songs: dict[tuple[str, int], list[PairedSample]] = {}
+        samples = []
+        for lineno, line in enumerate(fh, start=2):
+            with refusing(f"line {lineno}", "record"):
                 rec = json.loads(line)
                 lang = rec["language"]
+                if lang not in cfg.languages:
+                    raise ValueError(f"language {lang!r} is not in gen.languages {cfg.languages}")
                 key = (lang, rec["seed"])
                 if key not in songs:
-                    if lang not in tables:
-                        tables[lang] = song_tables(cfg, lang)
-                    songs[key] = generate_song(rec["seed"], cfg, lang, tables[lang])
+                    seed = read_settings(int, rec["seed"], "seed")
+                    songs[key] = generate_song(seed, cfg, lang, tables[lang])
                 sample = songs[key][rec["segment_index"]]
                 if sample.text != rec["text"]:
-                    raise ValueError(
-                        f"{path}: line {lineno}: record {rec['sample_id']} does not regenerate: "
-                        f"stored {rec['text']!r}, rebuilt {sample.text!r}"
-                    )
+                    raise ValueError(f"record {rec['sample_id']} does not regenerate: "
+                                     f"stored {rec['text']!r}, rebuilt {sample.text!r}")
                 samples.append(sample)
-        except (json.JSONDecodeError, KeyError, TypeError, IndexError) as err:
-            raise ValueError(f"{path}: line {lineno}: malformed ({type(err).__name__}: {err})") from err
     return cfg, samples
 
 

@@ -48,8 +48,8 @@ class PhasePlanSpec:
     seed: int = 0
     warmup_frac: float = 0.1
 
-    def check(self, phase: str) -> None:
-        """Raise a ValueError naming the phase and the field of a setting training cannot use."""
+    def __post_init__(self):
+        """Raise a ValueError naming the field of a setting training cannot use."""
         rules = (
             ("total_steps", self.total_steps >= 2, ">= 2"),
             ("warmup_frac", 0 < self.warmup_frac < 1, "in (0, 1)"),
@@ -59,7 +59,7 @@ class PhasePlanSpec:
         )
         for name, ok, want in rules:
             if not ok:
-                raise ValueError(f"{phase} plan: {name} must be {want}, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -68,9 +68,6 @@ class TrainPlan:
 
     loss: LossConfig
     settings: PhasePlanSpec
-
-    def __post_init__(self):
-        self.settings.check("training")
 
 
 def learning_rate(step: int, settings: PhasePlanSpec) -> float:

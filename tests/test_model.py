@@ -481,18 +481,30 @@ def test_adapter_checkpoint_refuses_an_adapter_off_the_adapted_projections(tmp_p
     assert all(f"enc.0.attn.{m}" in str(err.value) for m in ADAPTED)
 
 
-@pytest.mark.parametrize("rel, key, field, value", [
-    ("checkpoints/base.json", "config", "hidden_dim", 32.0),
-    ("cells/c/checkpoint.json", "config", "hidden_dim", 32.0),
-    ("cells/c/checkpoint.json", "lora", "rank", "4"),
-], ids=["full_hidden_dim_float", "adapters_hidden_dim_float", "adapters_rank_text"])
-def test_checkpoint_refuses_a_setting_of_the_wrong_type(tmp_path, rel, key, field, value):
+def _set(doc, dotted, value):
+    *parents, leaf = dotted.split(".")
+    for key in parents:
+        doc = doc[key]
+    doc[leaf] = value
+
+
+@pytest.mark.parametrize("rel, dotted, value", [
+    ("checkpoints/base.json", "config.hidden_dim", 32.0),
+    ("cells/c/checkpoint.json", "config.hidden_dim", 32.0),
+    ("cells/c/checkpoint.json", "lora.rank", "4"),
+    ("checkpoints/base.json", "base", []),
+    ("checkpoints/base.json", "base", "x"),
+    ("cells/c/checkpoint.json", "adapters", []),
+    ("cells/c/checkpoint.json", "adapters", "x"),
+], ids=["full_hidden_dim_float", "adapters_hidden_dim_float", "adapters_rank_text",
+        "full_base_list", "full_base_text", "adapters_adapters_list", "adapters_adapters_text"])
+def test_checkpoint_refuses_a_setting_of_the_wrong_type(tmp_path, rel, dotted, value):
     _cell_over_saved_base(tmp_path)
     path = tmp_path / rel
-    _edit(path, lambda doc: doc[key].update({field: value}))
+    _edit(path, lambda doc: _set(doc, dotted, value))
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
-    assert str(err.value).startswith(f"{path}: malformed checkpoint (TypeError: {key}.{field} must be ")
+    assert str(err.value).startswith(f"{path}: malformed checkpoint (TypeError: {dotted} must be ")
 
 
 def test_full_checkpoint_refuses_weights_that_do_not_fit_its_config(base_model, tmp_path):
@@ -505,15 +517,25 @@ def test_full_checkpoint_refuses_weights_that_do_not_fit_its_config(base_model, 
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("rank", 0, "lora.rank must be >= 1, got 0"),
-    ("dropout", 1.5, r"lora.dropout must be in \[0, 1\), got 1.5"),
+    ("rank", 0, "lora: rank must be >= 1, got 0"),
+    ("dropout", 1.5, "lora: dropout must be in [0, 1), got 1.5"),
 ], ids=["rank_0", "dropout_1.5"])
 def test_adapter_checkpoint_refuses_a_lora_setting_out_of_range(tmp_path, field, value, message):
     _, _, path = _cell_over_saved_base(tmp_path)
     _edit(path, lambda doc: doc["lora"].update({field: value}))
-    with pytest.raises(ValueError, match=message) as err:
+    with pytest.raises(ValueError) as err:
         load_checkpoint(path)
-    assert str(err.value).startswith(f"{path}: lora.{field}")
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("rel", ["checkpoints/base.json", "cells/c/checkpoint.json"], ids=["full", "adapters"])
+def test_checkpoint_refuses_a_config_its_class_refuses(tmp_path, rel):
+    _cell_over_saved_base(tmp_path)
+    path = tmp_path / rel
+    _edit(path, lambda doc: doc["config"].update(num_heads=3))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: config: hidden_dim 32 not divisible by num_heads 3"
 
 
 @pytest.mark.parametrize("which", ["full", "adapters"])
@@ -534,9 +556,9 @@ def test_truncated_checkpoint_names_the_file(base_model, tmp_path):
     path = tmp_path / "cut.json"
     save_checkpoint(base_model, path)
     path.write_bytes(path.read_bytes()[:1000])
-    with pytest.raises(ValueError, match="truncated or not JSON") as err:
+    with pytest.raises(ValueError) as err:
         load_checkpoint(path)
-    assert str(path) in str(err.value)
+    assert str(err.value).startswith(f"{path}: malformed checkpoint (JSONDecodeError: ")
 
 
 def test_adapter_checkpoint_with_missing_base_names_the_base(tmp_path):

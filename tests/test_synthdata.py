@@ -239,19 +239,32 @@ def _unknown_gen_field(lines):
     lines[0] = lines[0].replace('"gen": {', '"gen": {"tempo": 120, ')
 
 
-def _languages_as_text(lines):
-    header = json.loads(lines[0])
-    header["gen"]["languages"] = "ab"
-    lines[0] = json.dumps(header, sort_keys=True)
+def _set(index, key, value):
+    """Set the dotted `key` of the JSON document on line `index` (0 is the header) to `value`."""
+    def damage(lines):
+        top = doc = json.loads(lines[index])
+        *parents, leaf = key.split(".")
+        for step in parents:
+            doc = doc[step]
+        doc[leaf] = value
+        lines[index] = json.dumps(top, sort_keys=True)
+
+    return damage
 
 
 @pytest.mark.parametrize("damage, message", [
-    (_damage_record, r": line 4: malformed \(JSONDecodeError: "),
+    (_damage_record, r": line 4: malformed record \(JSONDecodeError: "),
     (_changed_text, r": line 3: record toyla-0-\d+ does not regenerate: stored '"),
     (_version_2, r": corpus format version 2, expected 1$"),
-    (_unknown_gen_field, r": line 1: malformed \(TypeError: unknown fields in gen: \['tempo'\]\)$"),
-    (_languages_as_text, r": line 1: malformed \(TypeError: gen.languages must be a list, got 'ab'\)$"),
-], ids=["damaged_record", "changed_text", "version_2", "unknown_gen_field", "languages_as_text"])
+    (_unknown_gen_field, r": line 1: malformed header \(TypeError: unknown fields in gen: \['tempo'\]\)$"),
+    (_set(0, "gen.languages", "ab"),
+     r": line 1: malformed header \(TypeError: gen.languages must be a list, got 'ab'\)$"),
+    (_set(0, "gen.jitter", -1.0), r": line 1: gen: jitter must be >= 0, got -1.0$"),
+    (_set(2, "seed", "x"), r": line 3: malformed record \(TypeError: seed must be int, got 'x'\)$"),
+    (_set(2, "language", True), r": line 3: language True is not in gen.languages \['toyla', 'toybe'\]$"),
+    (_set(2, "language", "toyce"), r": line 3: language 'toyce' is not in gen.languages \['toyla', 'toybe'\]$"),
+], ids=["damaged_record", "changed_text", "version_2", "unknown_gen_field", "languages_as_text",
+        "jitter_negative", "seed_as_text", "language_as_bool", "language_unknown"])
 def test_load_refuses_a_damaged_corpus_naming_the_file(cfg, tmp_path, damage, message):
     path = tmp_path / "train.jsonl"
     write_corpus(path, cfg, build_corpus(cfg, songs_per_language=2, seed_base=0))

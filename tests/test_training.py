@@ -491,8 +491,8 @@ def test_finetune_loss_drops_at_desk_scale(gen_cfg, tiny_corpus, tmp_path):
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError, match="training plan: warmup_frac must be in"):
-        TrainPlan(LossConfig(), PhasePlanSpec(1e-3, 10, 8, warmup_frac=0.0))
+    with pytest.raises(ValueError, match=r"^warmup_frac must be in \(0, 1\), got 0.0$"):
+        PhasePlanSpec(1e-3, 10, 8, warmup_frac=0.0)
 
 
 def test_a_run_continues_bit_for_bit_from_a_copy_of_its_train_state(tiny_corpus):
