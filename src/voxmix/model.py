@@ -408,9 +408,10 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    flat = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8")
-    return flat.reshape(obj["shape"]).astype(np.float64)
+def _decode_array(obj: dict, where: str) -> np.ndarray:
+    with refusing(where, "array"):  # names the entry inside the file's frame
+        flat = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8")
+        return flat.reshape(obj["shape"]).astype(np.float64)
 
 
 def base_reference(model: TranscriberModel, path) -> dict | None:
@@ -475,8 +476,8 @@ def _read_checkpoint(path) -> dict:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in (FULL_KIND, ADAPTERS_KIND):
         raise ValueError("not a voxmix checkpoint")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unknown {kind} format version {doc.get('version')!r}; "
+    if (version := read_settings(int, doc["version"], "version")) != FORMAT_VERSION:
+        raise ValueError(f"unknown {kind} format version {version}; "
                          f"this reader knows version {FORMAT_VERSION}")
     return doc
 
@@ -484,7 +485,7 @@ def _read_checkpoint(path) -> dict:
 def _full_model(path, doc: dict) -> TranscriberModel:
     config = read_settings(ModelConfig, doc["config"], "config")
     base = read_settings(dict, doc["base"], "base")
-    params = {name: Tensor(_decode_array(obj), requires_grad=True) for name, obj in base.items()}
+    params = {k: Tensor(_decode_array(obj, f"base.{k}"), requires_grad=True) for k, obj in base.items()}
     want = {name: shape for name, (_, shape) in _param_layout(config).items()}
     got = {name: t.values.shape for name, t in params.items()}
     if got != want:
@@ -519,7 +520,7 @@ def _adapted_model(path, doc: dict, base: TranscriberModel | None) -> Transcribe
     h, rank = config.hidden_dim, model.lora.rank
     known = model.adapted_projections()
     for name, obj in read_settings(dict, doc["adapters"], "adapters").items():
-        a, b = _decode_array(obj["a"]), _decode_array(obj["b"])
+        a, b = (_decode_array(obj[k], f"adapters.{name}.{k}") for k in "ab")
         if name not in known or a.shape != (rank, h) or b.shape != (h, rank):
             raise ValueError(
                 f"adapter {name} (A {a.shape}, B {b.shape}) does not fit the model: "

@@ -289,17 +289,16 @@ def write_corpus(path, cfg: GenConfig, samples: list[PairedSample]) -> None:
 
 
 def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
-    """A corpus file's gen config and samples. It reads inside `files.refusing`, so a
-    damaged file, one of another kind or version, or a record whose language the
-    header does not list raises a ValueError naming the file and the line."""
+    """A corpus file's gen config and samples. A damaged file, one of another kind or
+    version, or a record of a language the header lacks or that rebuilds another
+    `sample_id` or text, raises a ValueError naming the file and line (`files.refusing`)."""
     with refusing(path, "corpus"), open(path, "r", encoding="utf-8") as fh:
         with refusing("line 1", "header"):
             header = json.loads(fh.readline())
             if not isinstance(header, dict) or header.get("kind") != "voxmix-corpus":
                 raise ValueError("not a voxmix corpus file")
-            if header.get("version") != CORPUS_VERSION:
-                raise ValueError(f"corpus format version {header.get('version')!r}, "
-                                 f"expected {CORPUS_VERSION}")
+            if (version := read_settings(int, header["version"], "version")) != CORPUS_VERSION:
+                raise ValueError(f"corpus format version {version}, expected {CORPUS_VERSION}")
             cfg = read_settings(GenConfig, header["gen"], "gen")
         tables = {lang: song_tables(cfg, lang) for lang in cfg.languages}
         songs: dict[tuple[str, int], list[PairedSample]] = {}
@@ -315,9 +314,9 @@ def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
                     seed = read_settings(int, rec["seed"], "seed")
                     songs[key] = generate_song(seed, cfg, lang, tables[lang])
                 sample = songs[key][rec["segment_index"]]
-                if sample.text != rec["text"]:
-                    raise ValueError(f"record {rec['sample_id']} does not regenerate: "
-                                     f"stored {rec['text']!r}, rebuilt {sample.text!r}")
+                if (rec["sample_id"], rec["text"]) != (sample.sample_id, sample.text):
+                    raise ValueError(f"record {rec['sample_id']} does not regenerate: stored "
+                                     f"{rec['text']!r}, rebuilt {sample.sample_id} {sample.text!r}")
                 samples.append(sample)
     return cfg, samples
 

@@ -10,8 +10,9 @@ single loss for voc and mix, token weighting for random when a batch holds
 both domains, and the mean of the two for both and cns, with cns adding
 the weighted encoder-consistency term. One backward pass per step, then
 one Adam update of the model's trainable parameters (its adapters, if
-any). `train_step` returns the row that `run_experiment` logs: `step`,
-`lr`, `l_v`, `l_m`, `l_cns` (None for an absent term) and `l_total`.
+any). The loop is `next_batch` then `train_step` over one `TrainState`, the
+run's whole position; `train_step` returns the row `run_experiment` logs:
+`step`, `lr`, `l_v`, `l_m`, `l_cns` (None for an absent term) and `l_total`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,8 +148,8 @@ def pad_batch(rows: list[tuple[PairedSample, str]]):
 
 @dataclass
 class TrainState:
-    """Plain data, each fact once: the trainable parameters, their Adam
-    moments, the steps taken and the plan's three RNG streams."""
+    """Plain data, each fact once: the trainable parameters, their Adam moments,
+    the steps taken, the plan's three RNG streams and the data order."""
 
     params: list[Tensor]
     m: list[np.ndarray]
@@ -157,6 +158,8 @@ class TrainState:
     domain_rng: np.random.Generator
     dropout_rng: np.random.Generator
     step: int = 0
+    order: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))  # the epoch's permutation
+    offset: int = 0  # how many samples of `order` were drawn
 
 
 def make_train_state(model: TranscriberModel, plan: TrainPlan) -> TrainState:
@@ -227,11 +230,12 @@ def train_step(
     return {"step": step, "lr": lr, **losses}
 
 
-def _batches(corpus, batch_size, rng):
-    while True:
-        order = rng.permutation(len(corpus))
-        for i in range(0, len(order), batch_size):
-            yield [corpus[j] for j in order[i : i + batch_size]]
+def next_batch(state: TrainState, corpus: list[PairedSample], batch_size: int) -> list:
+    """The epoch's next `batch_size` samples, fewer at its end; `state.data_rng` draws each order."""
+    if state.offset >= len(state.order):
+        state.order, state.offset = state.data_rng.permutation(len(corpus)), 0
+    start, state.offset = state.offset, state.offset + batch_size
+    return [corpus[j] for j in state.order[start : state.offset]]
 
 
 def run_experiment(
@@ -241,9 +245,9 @@ def run_experiment(
     metrics_path,
     checkpoint_path=None,
     seed_lineage: dict | None = None,
-) -> list[dict]:
-    """Run one training phase to completion and return its log rows;
-    deterministic given plan and corpus.
+) -> None:
+    """Run one training phase to completion; deterministic given plan and
+    corpus. Returns nothing: the metrics log is the run's record.
 
     Emits a JSON-lines metrics log, written during training to
     `.<name>.tmp` beside `metrics_path` and renamed into place after the last
@@ -259,21 +263,17 @@ def run_experiment(
     if checkpoint_path is not None:
         base_reference(model, checkpoint_path)  # raises for a model it could not save
     state = make_train_state(model, plan)
-    batches = _batches(corpus, plan.settings.batch_size, state.data_rng)
-    history = []
     aborted = f"{os.fspath(metrics_path)}.aborted"
     with atomic_write(metrics_path, partial=aborted) as fh:
         for _ in range(plan.settings.total_steps):
             try:
-                row = train_step(model, next(batches), plan, state)
+                row = train_step(model, next_batch(state, corpus, plan.settings.batch_size), plan, state)
             except NonFiniteLossError as err:
                 hint = f"the steps before it are logged in {aborted}; no checkpoint was written"
                 base = model.base_file
                 if base is not None and os.path.exists(base.path):
                     hint += f"; restart from the base checkpoint {base.path}"
                 raise RuntimeError(f"{err}; {hint}") from err
-            history.append(row)
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path, seed_lineage)
-    return history

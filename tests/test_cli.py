@@ -684,10 +684,10 @@ def test_the_cells_of_a_seed_are_paired(grid_out, tmp_path, monkeypatch):
                    finetune=replace(grid_out[0].finetune, total_steps=4))
     logs = {}
 
-    def batches(corpus, batch_size, rng, orig=training._batches):
-        for batch in orig(corpus, batch_size, rng):
-            log["batches"].append([s.sample_id for s in batch])
-            yield batch
+    def next_batch(state, corpus, batch_size, orig=training.next_batch):
+        batch = orig(state, corpus, batch_size)
+        log["batches"].append([s.sample_id for s in batch])
+        return batch
 
     def pad_batch(rows, orig=training.pad_batch):
         log["pad"].append(orig(rows))
@@ -697,7 +697,7 @@ def test_the_cells_of_a_seed_are_paired(grid_out, tmp_path, monkeypatch):
         log["dropout"].append((a.values.shape, rate, copy.deepcopy(rng.bit_generator.state)))
         return orig(a, rate, rng)
 
-    monkeypatch.setattr(training, "_batches", batches)
+    monkeypatch.setattr(training, "next_batch", next_batch)
     monkeypatch.setattr(training, "pad_batch", pad_batch)
     monkeypatch.setattr(numerics, "dropout", dropout)
     base, train = cli._load_base(out), cli._load_split(out, "train")

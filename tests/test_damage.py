@@ -2,12 +2,16 @@
 and an adapters checkpoint, each damaged mechanically and read by its reader.
 
 Each damaged file must be refused with a ValueError that starts with its
-path, or read exactly as the undamaged file is. The damage: truncation, each
-key deleted at every depth, each value set to another JSON type and to true,
-an array's data cut short or not base64 and its shape wrong, and a setting
-out of its class's range. Of the `base` and `adapters` maps only the first
-two entries are damaged, to bound the run time. Dropped, duplicated or
-reordered entries, and transcripts, are not swept here.
+path; a checkpoint damaged in its free-form `seed_lineage` alone may instead
+read exactly as the undamaged file does. An array whose data does not decode
+is refused by its dotted name too, as `<path>: base.enc.0.attn.wq: ...`. The
+damage: truncation, each key deleted at every depth, each value set to
+another JSON type and to true, an array's data cut short or not base64 and
+its shape wrong, a setting out of its class's range, a format version as a
+float, and a record's `sample_id` set to another sample's. Of the `base` and
+`adapters` maps only the first two entries are damaged, to bound the run
+time. Dropped, duplicated or reordered entries, and transcripts, are not
+swept here.
 """
 
 import copy
@@ -66,9 +70,10 @@ def _other_type(value):
     return [] if isinstance(value, dict) else "5"
 
 
-def damaged(doc, out_of_range=()):
+def damaged(doc, more=()):
     """(name, damaged copy) of the JSON document `doc` for each kind of damage but
-    truncation; `out_of_range` holds (path, value) pairs that a settings class refuses."""
+    truncation; `more` holds (path, value) pairs to set besides, such as a setting
+    its class refuses."""
     for path, value in _places(doc):
         name = ".".join(map(str, path))
         if isinstance(path[-1], str):
@@ -82,7 +87,7 @@ def damaged(doc, out_of_range=()):
             yield f"{name} data not base64", _with(doc, path + ("data",), "not base64")
             yield f"{name} shape with an axis more", _with(doc, path + ("shape",), [*shape, 1])
             yield f"{name} shape too long", _with(doc, path + ("shape",), [shape[0] + 1, *shape[1:]])
-    for path, value in out_of_range:
+    for path, value in more:
         yield f"{'.'.join(path)} as {value!r}", _with(doc, path, value)
 
 
@@ -92,18 +97,23 @@ def truncated(text):
 
 
 def failures(cases, path, read, want):
-    """Write each (name, text) case to `path` and read it back; the cases that
-    neither raise a ValueError starting with the path nor read as `want`."""
+    """Write each (name, text) case to `path` and read it back; the cases not
+    refused with a ValueError starting with the path (and, for an array's data,
+    the array's name), but for `seed_lineage` cases that read as `want`."""
     bad = []
     for name, text in cases:
         path.write_text(text)
+        entry, undecodable, _ = name.partition(" data ")
+        prefix = f"{path}: {entry}: " if undecodable else f"{path}: "
         try:
             got = read()
         except Exception as err:  # any other exception is a failure, reported with its case
-            if not (isinstance(err, ValueError) and str(err).startswith(f"{path}: ")):
+            if not (isinstance(err, ValueError) and str(err).startswith(prefix)):
                 bad.append(f"{name}: {type(err).__name__}: {err}")
             continue
-        if got != want:
+        if not name.startswith("seed_lineage"):
+            bad.append(f"{name}: read without refusal")
+        elif got != want:
             bad.append(f"{name}: read without refusal, but not as the undamaged file")
     return bad
 
@@ -134,13 +144,14 @@ def saved(tmp_path_factory):
     return base, base_path, cell_path, base_path.read_text(), cell_path.read_text()
 
 
-CONFIG_OUT_OF_RANGE = [(("config", "num_heads"), 3), (("config", "max_audio_frames"), 0)]
+# settings out of their class's range, and a format version that is not an int
+CHECKPOINT_MORE = [(("config", "num_heads"), 3), (("config", "max_audio_frames"), 0), (("version",), 2.0)]
 
 
 def test_every_damaged_full_checkpoint_is_refused_by_its_path_or_reads_the_same(saved):
     base, base_path, _, text, _ = saved
     cases = [*truncated(text), *((name, json.dumps(doc)) for name, doc in
-                                 damaged(json.loads(text), CONFIG_OUT_OF_RANGE))]
+                                 damaged(json.loads(text), CHECKPOINT_MORE))]
     bad = failures(cases, base_path, lambda: _model_state(load_checkpoint(base_path)[0]), _model_state(base))
     base_path.write_text(text)
     assert not bad, "\n".join(bad)
@@ -151,9 +162,8 @@ def test_every_damaged_adapters_checkpoint_is_refused_by_its_path_or_reads_the_s
     base, _, cell_path, _, text = saved
     given = base if over == "its_base" else None
     want = _model_state(load_checkpoint(cell_path, base=given)[0])
-    out_of_range = [*CONFIG_OUT_OF_RANGE, (("lora", "rank"), 0), (("lora", "dropout"), 1.5)]
-    cases = [*truncated(text), *((name, json.dumps(doc)) for name, doc in
-                                 damaged(json.loads(text), out_of_range))]
+    more = [*CHECKPOINT_MORE, (("lora", "rank"), 0), (("lora", "dropout"), 1.5)]
+    cases = [*truncated(text), *((name, json.dumps(doc)) for name, doc in damaged(json.loads(text), more))]
     bad = failures(cases, cell_path, lambda: _model_state(load_checkpoint(cell_path, base=given)[0]), want)
     cell_path.write_text(text)
     assert not bad, "\n".join(bad)
@@ -182,11 +192,12 @@ def test_every_damaged_corpus_is_refused_by_its_path_or_reads_the_same(tmp_path)
     text = path.read_text()
     lines = text.splitlines(keepends=True)
     assert len(lines) >= 3
-    gen_out_of_range = [(("gen", "jitter"), -1.0), (("gen", "frames_per_token"), 0),
-                        (("gen", "gain_range"), [1.0, 0.5])]
+    header = [(("gen", "jitter"), -1.0), (("gen", "frames_per_token"), 0),
+              (("gen", "gain_range"), [1.0, 0.5]), (("version",), 1.0)]
+    record = [(("sample_id",), "toyla-0-1")]  # the first record's is toyla-0-0
     cases = list(truncated(text))
-    for index, out_of_range in ((0, gen_out_of_range), (1, [])):  # the header and one record
-        for name, doc in damaged(json.loads(lines[index]), out_of_range):
+    for index, more in ((0, header), (1, record)):  # the header and one record
+        for name, doc in damaged(json.loads(lines[index]), more):
             changed = [*lines[:index], json.dumps(doc) + "\n", *lines[index + 1:]]
             cases.append((f"line {index + 1}: {name}", "".join(changed)))
     want = _corpus_state(load_corpus(path))

@@ -263,8 +263,12 @@ def _set(index, key, value):
     (_set(2, "seed", "x"), r": line 3: malformed record \(TypeError: seed must be int, got 'x'\)$"),
     (_set(2, "language", True), r": line 3: language True is not in gen.languages \['toyla', 'toybe'\]$"),
     (_set(2, "language", "toyce"), r": line 3: language 'toyce' is not in gen.languages \['toyla', 'toybe'\]$"),
+    (_set(0, "version", True), r": line 1: malformed header \(TypeError: version must be int, got True\)$"),
+    (_set(2, "sample_id", "toyla-0-9"),
+     r": line 3: record toyla-0-9 does not regenerate: stored '[a-z ]+', rebuilt toyla-0-\d+ '[a-z ]+'$"),
 ], ids=["damaged_record", "changed_text", "version_2", "unknown_gen_field", "languages_as_text",
-        "jitter_negative", "seed_as_text", "language_as_bool", "language_unknown"])
+        "jitter_negative", "seed_as_text", "language_as_bool", "language_unknown", "version_as_bool",
+        "sample_id_changed"])
 def test_load_refuses_a_damaged_corpus_naming_the_file(cfg, tmp_path, damage, message):
     path = tmp_path / "train.jsonl"
     write_corpus(path, cfg, build_corpus(cfg, songs_per_language=2, seed_base=0))

@@ -28,6 +28,7 @@ from voxmix.training import (
     adam_step,
     learning_rate,
     make_train_state,
+    next_batch,
     pad_batch,
     run_experiment,
     select_inputs,
@@ -301,12 +302,11 @@ def test_one_loss_path_equals_the_two_path_reference(tiny_corpus, phase, strateg
     sides = []
     for _ in range(2):
         model = adapted() if phase == "finetune" else build_model(ModelConfig(), seed=0)
-        state = make_train_state(model, plan)
-        sides.append((model, state, training._batches(tiny_corpus, 8, state.data_rng)))
-    (ref_model, ref_state, ref_batches), (model, state, batches) = sides
+        sides.append((model, make_train_state(model, plan)))
+    (ref_model, ref_state), (model, state) = sides
     for _ in range(4):
-        want = reference_step(ref_model, next(ref_batches), plan, ref_state)
-        got = train_step(model, next(batches), plan, state)
+        want = reference_step(ref_model, next_batch(ref_state, tiny_corpus, 8), plan, ref_state)
+        got = train_step(model, next_batch(state, tiny_corpus, 8), plan, state)
         assert got == want
         for ref_p, p in zip(ref_state.params, state.params):
             assert p.grad.tobytes() == ref_p.grad.tobytes()
@@ -479,7 +479,8 @@ def test_finetune_loss_drops_at_desk_scale(gen_cfg, tiny_corpus, tmp_path):
     run_experiment(pretrain_plan(200, batch_size=8, seed=1), clean, model, tmp_path / "pre.jsonl")
     attach_adapters(model, LoraSpec(), seed=2)
     plan = finetune_plan("cns", steps=200)
-    history = run_experiment(plan, tiny_corpus, model, tmp_path / "ft.jsonl")
+    run_experiment(plan, tiny_corpus, model, tmp_path / "ft.jsonl")
+    history = [json.loads(line) for line in (tmp_path / "ft.jsonl").read_text().splitlines()]
     start = history[0]["l_total"]
     tail = np.mean([row["l_total"] for row in history[-10:]])
     assert tail <= 0.7 * start
@@ -496,26 +497,34 @@ def test_plan_validation():
 
 
 def test_a_run_continues_bit_for_bit_from_a_copy_of_its_train_state(tiny_corpus):
-    # besides the batch, a step reads and writes only the model's trainable
-    # tensors and the TrainState, so a copy of both resumes the run exactly
-    plan = finetune_plan("random", steps=6)
-    batches = training._batches(tiny_corpus, 8, np.random.default_rng(0))
-    batches = [next(batches) for _ in range(5)]
-    model = adapted()
-    state = make_train_state(model, plan)
-    for batch in batches[:3]:
-        train_step(model, batch, plan, state)
-    saved = copy.deepcopy(state)
-    want = [train_step(model, batch, plan, state) for batch in batches[3:]]
+    # besides the corpus, a step reads and writes only the model's trainable
+    # tensors and the TrainState, data order included, so a copy of both
+    # resumes the run exactly. The 29 samples at batch 8 end the first epoch
+    # at step 4 with 5 samples, and the second order is drawn at step 5: the
+    # copy is cut mid-epoch and at the epoch's end, and both run to step 7.
+    plan = finetune_plan("random", steps=8)
 
-    resumed_model = adapted()
-    fresh = make_train_state(resumed_model, plan)
-    for p, q in zip(fresh.params, saved.params):
-        p.values[...] = q.values
-    resumed = replace(saved, params=fresh.params)
-    assert [train_step(resumed_model, batch, plan, resumed) for batch in batches[3:]] == want
-    for p, q in zip(resumed.params, state.params):
-        assert p.values.tobytes() == q.values.tobytes()
+    def run(model, state, steps):
+        return [train_step(model, next_batch(state, tiny_corpus, 8), plan, state) for _ in range(steps)]
+
+    for cut in (3, 4):
+        model = adapted()
+        state = make_train_state(model, plan)
+        run(model, state, cut)
+        saved = copy.deepcopy(state)
+        assert len(tiny_corpus) == len(saved.order) == 29 and saved.offset == 8 * cut
+        want = run(model, state, 7 - cut)
+        assert state.offset == 8 * 3  # three steps into the second epoch
+
+        resumed_model = adapted()
+        fresh = make_train_state(resumed_model, plan)
+        for p, q in zip(fresh.params, saved.params):
+            p.values[...] = q.values
+        resumed = replace(saved, params=fresh.params)
+        assert run(resumed_model, resumed, 7 - cut) == want
+        assert np.array_equal(resumed.order, state.order) and resumed.offset == state.offset
+        for p, q in zip(resumed.params, state.params):
+            assert p.values.tobytes() == q.values.tobytes()
 
 
 def test_data_rng_deterministic():
