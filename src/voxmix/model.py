@@ -462,7 +462,9 @@ def load_checkpoint(path, base: TranscriberModel | None = None) -> tuple[Transcr
     unreadable or foreign file, an unknown format version, a setting its class
     refuses, a shape or a set of adapters that does not fit, or a base whose
     config or base_digest is not the referenced one; a damaged referenced base
-    is named after the adapters file, as `<path>: <base path>: ...`.
+    is named after the adapters file, as `<path>: <base path>: ...`, and a
+    damaged array or adapter entry by its dotted name, as
+    `<path>: adapters.<name>: ...`.
     """
     with refusing(path, "checkpoint"):
         doc = _read_checkpoint(path)
@@ -520,7 +522,9 @@ def _adapted_model(path, doc: dict, base: TranscriberModel | None) -> Transcribe
     h, rank = config.hidden_dim, model.lora.rank
     known = model.adapted_projections()
     for name, obj in read_settings(dict, doc["adapters"], "adapters").items():
-        a, b = (_decode_array(obj[k], f"adapters.{name}.{k}") for k in "ab")
+        with refusing(f"adapters.{name}", "adapter"):
+            arrays = obj["a"], obj["b"]
+        a, b = (_decode_array(x, f"adapters.{name}.{k}") for k, x in zip("ab", arrays))
         if name not in known or a.shape != (rank, h) or b.shape != (h, rank):
             raise ValueError(
                 f"adapter {name} (A {a.shape}, B {b.shape}) does not fit the model: "

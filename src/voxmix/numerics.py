@@ -146,7 +146,8 @@ def backward(loss: Tensor) -> None:
     """Populate gradients of `loss` w.r.t. every reachable requires_grad leaf.
 
     The per-call gradient flow is kept in a scratch map, so repeated calls
-    on the same graph each add one full gradient into the leaves.
+    on the same graph each add one full gradient into the leaves. A leaf
+    without a gradient gets a copy of its first one; later ones are added.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
@@ -177,8 +178,9 @@ def backward(loss: Tensor) -> None:
             continue
         if node._backward is None:
             if node.grad is None:
-                node.grad = np.zeros_like(node.values)
-            node.grad += g
+                node.grad = g.copy()  # a copy: g may alias another node's gradient
+            else:
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
@@ -387,11 +389,16 @@ def attention_core(
 
     def rule(g):
         gh = g.reshape(bsz, t_q, num_heads, dh).transpose(0, 2, 1, 3)
-        dw = gh @ vh.swapaxes(-1, -2)
-        ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * inv
-        dq = (ds @ kh).transpose(0, 2, 1, 3).reshape(bsz, t_q, dim)
-        dk = (ds.swapaxes(-1, -2) @ qh).transpose(0, 2, 1, 3).reshape(bsz, t_k, dim)
-        dv = (w.swapaxes(-1, -2) @ gh).transpose(0, 2, 1, 3).reshape(bsz, t_k, dim)
+        dq = dk = dv = None
+        if q.requires_grad or k.requires_grad:
+            dw = gh @ vh.swapaxes(-1, -2)
+            ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * inv
+            if q.requires_grad:
+                dq = (ds @ kh).transpose(0, 2, 1, 3).reshape(bsz, t_q, dim)
+            if k.requires_grad:
+                dk = (ds.swapaxes(-1, -2) @ qh).transpose(0, 2, 1, 3).reshape(bsz, t_k, dim)
+        if v.requires_grad:
+            dv = (w.swapaxes(-1, -2) @ gh).transpose(0, 2, 1, 3).reshape(bsz, t_k, dim)
         return dq, dk, dv
 
     return _node(ctx, (q, k, v), rule)
@@ -400,9 +407,13 @@ def attention_core(
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     x = a.values
-    mu = x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # each mean is ndarray.mean's own sum-then-divide, without its Python wrapper
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var /= n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     values = gain.values * xhat + bias.values
@@ -415,8 +426,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gbias = _unbroadcast(g, bias.values.shape)
         if a.requires_grad:
             dxhat = g * gain.values
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+            m1 /= n
+            m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
+            m2 /= n
             gx = (dxhat - m1 - xhat * m2) * inv_std
         return gx, ggain, gbias
 
@@ -471,7 +484,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         return a
     if rate >= 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(a.values.shape, dtype=np.float32) >= rate) / (1.0 - rate)
+    keep = np.where(rng.random(a.values.shape, dtype=np.float32) >= rate, 1.0 / (1.0 - rate), 0.0)
 
     def rule(g):
         return (g * keep,)

@@ -10,7 +10,9 @@ single loss for voc and mix, token weighting for random when a batch holds
 both domains, and the mean of the two for both and cns, with cns adding
 the weighted encoder-consistency term. One backward pass per step, then
 one Adam update of the model's trainable parameters (its adapters, if
-any). The loop is `next_batch` then `train_step` over one `TrainState`, the
+any), whose moments `m` and `v` are two flat float64 arrays over every
+parameter's values in `params` order; a resume file would store those two
+arrays. The loop is `next_batch` then `train_step` over one `TrainState`, the
 run's whole position; `train_step` returns the row `run_experiment` logs:
 `step`, `lr`, `l_v`, `l_m`, `l_cns` (None for an absent term) and `l_total`.
 """
@@ -87,31 +89,51 @@ def learning_rate(step: int, settings: PhasePlanSpec) -> float:
 def adam_step(
     params: list[Tensor],
     grads: list[np.ndarray],
-    m: list[np.ndarray],
-    v: list[np.ndarray],
+    m: np.ndarray,
+    v: np.ndarray,
     step: int,
     lr: float,
 ) -> None:
-    """Bias-corrected Adam update number `step` (from 1) of params, m and v, in place."""
+    """Bias-corrected Adam update number `step` (from 1) of params, m and v, in place.
+
+    `m` and `v` are flat float64 arrays over every parameter's values in
+    `params` order; the update runs over them at once, then each parameter
+    takes its own slice of it.
+    """
     beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; no spec varies them
     if len(grads) != len(params):
         raise ValueError(f"got {len(grads)} grads for {len(params)} params")
     for i, g in enumerate(grads):
         if g is None:
             raise ValueError(f"parameter {i} has no gradient")
-        if not np.isfinite(g).all():
-            raise ValueError(
-                f"non-finite gradient in parameter {i} "
-                f"(shape {g.shape}) at optimizer step {step}"
-            )
+    g = np.concatenate(grads, axis=None)
+    if not np.isfinite(g).all():
+        i = next(i for i, g_i in enumerate(grads) if not np.isfinite(g_i).all())
+        raise ValueError(
+            f"non-finite gradient in parameter {i} "
+            f"(shape {grads[i].shape}) at optimizer step {step}"
+        )
     c1 = 1.0 - beta1**step
     c2 = 1.0 - beta2**step
-    for p, g, m_i, v_i in zip(params, grads, m, v):
-        m_i *= beta1
-        m_i += (1.0 - beta1) * g
-        v_i *= beta2
-        v_i += (1.0 - beta2) * (g * g)
-        p.values -= lr * (m_i / c1) / (np.sqrt(v_i / c2) + eps)
+    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and p -= lr*(m/c1) / (sqrt(v/c2) + eps),
+    # op for op in that order, so each value rounds as a per-parameter update would
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    g *= g
+    g *= 1.0 - beta2
+    v += g
+    denom = np.divide(v, c2, out=g)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update = m / c1
+    update *= lr
+    update /= denom
+    start = 0
+    for p in params:
+        stop = start + p.values.size
+        p.values -= update[start:stop].reshape(p.values.shape)
+        start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +171,15 @@ def pad_batch(rows: list[tuple[PairedSample, str]]):
 @dataclass
 class TrainState:
     """Plain data, each fact once: the trainable parameters, their Adam moments,
-    the steps taken, the plan's three RNG streams and the data order."""
+    the steps taken, the plan's three RNG streams and the data order.
+
+    Each parameter is its own array; the moments `m` and `v` are one flat
+    float64 array each, over every parameter's values in `params` order.
+    """
 
     params: list[Tensor]
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     data_rng: np.random.Generator
     domain_rng: np.random.Generator
     dropout_rng: np.random.Generator
@@ -164,11 +190,12 @@ class TrainState:
 
 def make_train_state(model: TranscriberModel, plan: TrainPlan) -> TrainState:
     params = set_trainable(model)
+    size = sum(p.values.size for p in params)
     seqs = np.random.SeedSequence(plan.settings.seed).spawn(3)
     return TrainState(
         params=params,
-        m=[np.zeros_like(p.values) for p in params],
-        v=[np.zeros_like(p.values) for p in params],
+        m=np.zeros(size),
+        v=np.zeros(size),
         data_rng=np.random.default_rng(seqs[0]),
         domain_rng=np.random.default_rng(seqs[1]),
         dropout_rng=np.random.default_rng(seqs[2]),

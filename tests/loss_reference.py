@@ -1,11 +1,13 @@
 """The two loss paths that training used before it built every strategy's
-loss in one forward over (sample, domain) rows, kept as a reference.
+loss in one forward over (sample, domain) rows, and the per-parameter Adam
+update it used before its moments were flat, kept as a reference.
 
 `_dual_losses` stacked the vocal and mixture halves of a paired batch for
 both and cns; `_single_domain_losses` ran the per-sample picks of voc, mix
-and random. `reference_step` is a train step over them that returns the
-log row. Tests compare the one path of `training.train_step` against it
-bit for bit.
+and random. `reference_adam_step` updates one moment array per parameter.
+`reference_step` is a train step over them that returns the log row. Tests
+compare `training.train_step` and `training.adam_step` against them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,40 @@ from voxmix.losses import alt_loss, consistency_loss
 from voxmix.model import decode_batch, encode_batch
 from voxmix.numerics import Tensor, backward, zero_grads
 from voxmix.synthdata import PAD_ID
-from voxmix.training import adam_step, learning_rate, select_inputs
+from voxmix.training import learning_rate, select_inputs
+
+
+def reference_adam_step(params, grads, m, v, step, lr) -> None:
+    """Bias-corrected Adam update number `step` of params and of the per-parameter
+    moment arrays m and v, in place, one parameter at a time."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    if len(grads) != len(params):
+        raise ValueError(f"got {len(grads)} grads for {len(params)} params")
+    for i, g in enumerate(grads):
+        if g is None:
+            raise ValueError(f"parameter {i} has no gradient")
+        if not np.isfinite(g).all():
+            raise ValueError(
+                f"non-finite gradient in parameter {i} "
+                f"(shape {g.shape}) at optimizer step {step}"
+            )
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i *= beta1
+        m_i += (1.0 - beta1) * g
+        v_i *= beta2
+        v_i += (1.0 - beta2) * (g * g)
+        p.values -= lr * (m_i / c1) / (np.sqrt(v_i / c2) + eps)
+
+
+def per_parameter(params, flat):
+    """Views of the flat array `flat`, one per parameter in `params` order, in its shape."""
+    views, start = [], 0
+    for p in params:
+        views.append(flat[start : start + p.values.size].reshape(p.values.shape))
+        start += p.values.size
+    return views
 
 
 def _pad_pairs(samples):
@@ -119,6 +154,7 @@ def reference_step(model, batch, plan, state) -> dict:
     backward(total)
     s = plan.settings
     lr = learning_rate(step, s)
-    adam_step(state.params, [p.grad for p in state.params], state.m, state.v, step, lr)
+    m, v = (per_parameter(state.params, flat) for flat in (state.m, state.v))
+    reference_adam_step(state.params, [p.grad for p in state.params], m, v, step, lr)
     state.step = step
     return {"step": step, "lr": lr, **losses}

@@ -4,7 +4,8 @@ and an adapters checkpoint, each damaged mechanically and read by its reader.
 Each damaged file must be refused with a ValueError that starts with its
 path; a checkpoint damaged in its free-form `seed_lineage` alone may instead
 read exactly as the undamaged file does. An array whose data does not decode
-is refused by its dotted name too, as `<path>: base.enc.0.attn.wq: ...`. The
+is refused by its dotted name too, as `<path>: base.enc.0.attn.wq: ...`, and an
+adapter entry without its arrays by the adapter's, as `<path>: adapters.<name>: ...`. The
 damage: truncation, each key deleted at every depth, each value set to
 another JSON type and to true, an array's data cut short or not base64 and
 its shape wrong, a setting out of its class's range, a format version as a
@@ -167,6 +168,21 @@ def test_every_damaged_adapters_checkpoint_is_refused_by_its_path_or_reads_the_s
     bad = failures(cases, cell_path, lambda: _model_state(load_checkpoint(cell_path, base=given)[0]), want)
     cell_path.write_text(text)
     assert not bad, "\n".join(bad)
+
+
+@pytest.mark.parametrize("place, value", [(("a",), DELETE), (("b",), DELETE), ((), "5"), ((), 5), ((), []), ((), True)],
+                         ids=["a deleted", "b deleted", "as '5'", "as 5", "as []", "as true"])
+def test_an_adapter_entry_without_its_arrays_is_refused_by_its_name(saved, place, value):
+    base, _, cell_path, _, text = saved
+    doc = json.loads(text)
+    name = next(iter(doc["adapters"]))
+    cell_path.write_text(json.dumps(_with(doc, ("adapters", name, *place), value)))
+    try:
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(cell_path, base=base)
+    finally:
+        cell_path.write_text(text)
+    assert str(err.value).startswith(f"{cell_path}: adapters.{name}: malformed adapter (")
 
 
 def test_an_adapters_checkpoint_over_a_truncated_base_names_both_files(saved):

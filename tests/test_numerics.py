@@ -342,6 +342,60 @@ def test_dropout_gradient_uses_forward_mask():
     assert np.allclose(a.grad, expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("rate", [0.1, 0.25, 0.5])
+def test_dropout_mask_is_the_bool_mask_divided(rate):
+    rng = np.random.default_rng(11)
+    a = rand_tensor(rng, (3, 4, 5))
+    drawn, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    out = dropout(a, rate, drawn)
+    keep = (ref_rng.random(a.values.shape, dtype=np.float32) >= rate) / (1.0 - rate)
+    assert out.values.tobytes() == (a.values * keep).tobytes()
+    assert drawn.bit_generator.state == ref_rng.bit_generator.state  # one draw, as before
+    g = rng.standard_normal(a.values.shape)
+    backward(tensor_sum(mul(out, Tensor(g))))
+    assert a.grad.tobytes() == (g * keep).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 32), (2, 5, 37)])
+def test_layer_norm_matches_the_ndarray_mean_expressions(shape):
+    rng = np.random.default_rng(13)
+    a, gain, bias = rand_tensor(rng, shape), rand_tensor(rng, shape[-1:]), rand_tensor(rng, shape[-1:])
+    out = layer_norm(a, gain, bias)
+    g = rng.standard_normal(shape)
+    backward(tensor_sum(mul(out, Tensor(g))))
+
+    x, eps = a.values, 1e-5
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    assert out.values.tobytes() == (gain.values * xhat + bias.values).tobytes()
+    dxhat = g * gain.values
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    assert a.grad.tobytes() == ((dxhat - m1 - xhat * m2) * inv_std).tobytes()
+    ggain, gbias = g * xhat, g
+    while ggain.ndim > 1:  # summed down one leading axis at a time, as broadcasting is undone
+        ggain, gbias = ggain.sum(axis=0), gbias.sum(axis=0)
+    assert gain.grad.tobytes() == ggain.tobytes() and bias.grad.tobytes() == gbias.tobytes()
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_core_skips_the_gradient_of_a_key_that_needs_none(masked):
+    rng = np.random.default_rng(14)
+    q, k, v = (rng.standard_normal(shape) for shape in ((2, 3, 8), (2, 5, 8), (2, 5, 8)))
+    mask = np.where(rng.random((2, 1, 1, 5)) < 0.3, -1e30, 0.0) if masked else None
+    every = attention_core(Tensor(q, True), Tensor(k, True), Tensor(v, True), 2, mask)
+    no_key = attention_core(Tensor(q, True), Tensor(k), Tensor(v, True), 2, mask)
+    assert no_key.values.tobytes() == every.values.tobytes()
+    g = rng.standard_normal(every.values.shape)
+    dq, dk, dv = every._backward(g)
+    dq_without, dk_without, dv_without = no_key._backward(g)
+    assert dk is not None and dk_without is None
+    assert dq_without.tobytes() == dq.tobytes() and dv_without.tobytes() == dv.tobytes()
+
+
 def test_dropout_zero_rate_is_identity():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     assert dropout(a, 0.0, np.random.default_rng(0)) is a

@@ -17,7 +17,7 @@ from voxmix.model import (
     save_checkpoint,
     share_base,
 )
-from loss_reference import reference_step
+from loss_reference import per_parameter, reference_adam_step, reference_step
 from voxmix import training
 from voxmix.numerics import Tensor
 from voxmix.synthdata import GenConfig, build_corpus
@@ -77,28 +77,28 @@ def test_schedule_piecewise_linear_and_single_peak():
 def test_adam_first_step_direction():
     p = Tensor(np.array([1.0]), requires_grad=True)
     g = np.array([0.3])
-    adam_step([p], [g], [np.zeros(1)], [np.zeros(1)], 1, lr=0.01)
+    adam_step([p], [g], np.zeros(1), np.zeros(1), 1, lr=0.01)
     # bias-corrected first step is about -lr * sign(g)
     assert p.values[0] == pytest.approx(1.0 - 0.01 * 0.3 / (abs(0.3) + 1e-8), rel=1e-6)
 
 
 def test_adam_zero_gradient_keeps_parameter():
     p = Tensor(np.array([2.0]), requires_grad=True)
-    adam_step([p], [np.zeros(1)], [np.zeros(1)], [np.zeros(1)], 1, lr=0.5)
+    adam_step([p], [np.zeros(1)], np.zeros(1), np.zeros(1), 1, lr=0.5)
     assert p.values[0] == 2.0
 
 
 def test_adam_rejects_non_finite_gradients():
     p = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(ValueError, match="non-finite gradient .* at optimizer step 3"):
-        adam_step([p], [np.array([np.nan])], [np.zeros(1)], [np.zeros(1)], 3, lr=0.1)
+        adam_step([p], [np.array([np.nan])], np.zeros(1), np.zeros(1), 3, lr=0.1)
 
 
 def test_adam_five_step_trace_matches_hand_recurrence():
     # minimize f(x) = x^2 from x = 1: grad = 2x; Kingma & Ba's constants are the reference
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
     p = Tensor(np.array([1.0]), requires_grad=True)
-    moments = [np.zeros(1)], [np.zeros(1)]
+    moments = np.zeros(1), np.zeros(1)
 
     x = 1.0
     m = 0.0
@@ -128,11 +128,59 @@ def test_adam_scale_consistency_property():
     rng = np.random.default_rng(1)
     p1 = Tensor(np.array([0.7]), requires_grad=True)
     p2 = Tensor(np.array([0.7]), requires_grad=True)
-    m, v = [np.zeros(1), np.zeros(1)], [np.zeros(1), np.zeros(1)]
+    m, v = np.zeros(2), np.zeros(2)
     for t in range(1, 11):
         g = rng.standard_normal(1)
         adam_step([p1, p2], [g, g.copy()], m, v, t, lr=0.05)
         assert p1.values[0] == p2.values[0]
+
+
+SHAPES = [(1,), (2, 3), (4,)]
+
+
+def _adam_params(rng):
+    return [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in SHAPES]
+
+
+def test_flat_adam_matches_the_per_parameter_update_bit_for_bit():
+    rng = np.random.default_rng(7)
+    params = _adam_params(rng)
+    ref_params = [Tensor(p.values.copy(), requires_grad=True) for p in params]
+    size = sum(p.values.size for p in params)
+    m, v = np.zeros(size), np.zeros(size)
+    ref_m, ref_v = [np.zeros(shape) for shape in SHAPES], [np.zeros(shape) for shape in SHAPES]
+    for step in range(1, 7):
+        grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 3) for shape in SHAPES]
+        lr = float(rng.uniform(1e-4, 1e-1))
+        adam_step(params, [g.copy() for g in grads], m, v, step, lr)
+        reference_adam_step(ref_params, grads, ref_m, ref_v, step, lr)
+        for p, q in zip(params, ref_params):
+            assert p.values.tobytes() == q.values.tobytes()
+        for flat, ref in ((m, ref_m), (v, ref_v)):
+            assert [a.tobytes() for a in per_parameter(params, flat)] == [a.tobytes() for a in ref]
+
+
+def test_adam_names_the_parameter_with_a_non_finite_gradient():
+    rng = np.random.default_rng(8)
+    params = _adam_params(rng)
+    grads = [rng.standard_normal(shape) for shape in SHAPES]
+    grads[1][1, 2] = np.nan
+    before = [p.values.copy() for p in params]
+    m, v = np.zeros(7), np.zeros(7)
+    with pytest.raises(ValueError) as err:
+        adam_step(params, grads, m, v, 4, lr=0.1)
+    assert str(err.value) == "non-finite gradient in parameter 1 (shape (2, 3)) at optimizer step 4"
+    assert all(np.array_equal(p.values, b) for p, b in zip(params, before))  # refused before any update
+    assert not m.any() and not v.any()
+
+
+def test_adam_refuses_a_missing_gradient():
+    rng = np.random.default_rng(9)
+    params = _adam_params(rng)
+    grads = [rng.standard_normal(shape) for shape in SHAPES]
+    grads[2] = None
+    with pytest.raises(ValueError, match="^parameter 2 has no gradient$"):
+        adam_step(params, grads, np.zeros(7), np.zeros(7), 1, lr=0.1)
 
 
 # ---------------------------------------------------------------------------
