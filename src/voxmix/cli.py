@@ -24,7 +24,10 @@ lineage with a reference to ../../checkpoints/pretrain.json and its
 base_digest; the pretrained base is not copied into it. Decode and a serial
 grid load the base and each corpus once per command and share the frozen
 base, read-only, across cells; in a parallel grid each worker loads them
-once. Every file is written atomically (see files.atomic_write).
+once. Decode transcribes every condition of a model in one
+`transcribe_batch` call, a sample's vocal and mixture windows in one batch.
+Every file is written atomically (see files.atomic_write); a transcript line
+that eval cannot read is refused by its file and line number.
 """
 
 from __future__ import annotations
@@ -306,11 +309,11 @@ def cmd_finetune(
 def _decode_model_to_files(spec: ExperimentSpec, out: Path, cell: str, model, test) -> None:
     tdir = out / "transcripts" / cell
     tdir.mkdir(parents=True, exist_ok=True)
-    for condition in CONDITIONS:
-        windows = [s.x_m if condition == "mix" else s.x_v for s in test]
-        token_rows = transcribe_batch(model, windows, spec.decode)
+    windows = [s.x_m if condition == "mix" else s.x_v for condition in CONDITIONS for s in test]
+    token_rows = transcribe_batch(model, windows, spec.decode)
+    for i, condition in enumerate(CONDITIONS):
         with atomic_write(transcript_path(out, cell, condition)) as fh:
-            for sample, tokens in zip(test, token_rows):
+            for sample, tokens in zip(test, token_rows[i * len(test):]):
                 rec = {"sample_id": sample.sample_id, "condition": condition,
                        "text": detokenize(tokens)}
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -347,29 +350,29 @@ def cmd_decode(
 
 
 def _load_transcripts(out: Path, cell: str, refs: dict[str, str]) -> dict[tuple[str, str], str]:
-    """A cell's transcripts, exactly one line per test sample and condition."""
+    """A cell's transcripts, exactly one line per test sample and condition; a line
+    that does not parse is refused by its number (`files.refusing`)."""
     hyps = {}
     for condition in CONDITIONS:
         path = transcript_path(out, cell, condition)
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        found, bad = {}, 0
-        for line in lines:
-            try:
-                rec = json.loads(line)
-                sid = rec["sample_id"]
-                if rec["condition"] == condition and sid in refs and sid not in found:
-                    found[sid] = rec["text"]
-                    continue
-            except (ValueError, KeyError, TypeError):
-                pass
-            bad += 1
-        if bad or len(found) != len(refs):
-            raise SystemExit(
-                f"incomplete transcripts: {path} has {len(lines)} lines, {bad} of them "
-                f"unreadable or with a wrong condition, unknown or duplicate sample id; "
-                f"expected {len(refs)}, one per test sample (run decode again)"
-            )
+        found, bad, lineno = {}, 0, 0
+        with refusing(path, "transcripts"), open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                with refusing(f"line {lineno}", "record"):
+                    rec = json.loads(line.decode("utf-8"))
+                    sid, text = rec["sample_id"], rec["text"]
+                    if not isinstance(text, str):
+                        raise TypeError(f"text must be str, got {text!r}")
+                    if rec["condition"] == condition and sid in refs and sid not in found:
+                        found[sid] = text
+                    else:
+                        bad += 1
+            if bad or len(found) != len(refs):
+                raise ValueError(
+                    f"incomplete transcripts: the file has {lineno} lines, {bad} of them with a "
+                    f"wrong condition, unknown or duplicate sample id; expected {len(refs)}, "
+                    f"one per test sample (run decode again)"
+                )
         hyps.update(((sid, condition), text) for sid, text in found.items())
     return hyps
 

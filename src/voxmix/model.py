@@ -18,6 +18,7 @@ With a `DecodeCache`, `decode_batch` runs incrementally: cross-attention
 projects the encoder output once, self-attention appends each call's keys
 and values. Logits then match a full-prefix call to about 1e-14, not bit
 for bit, as BLAS may round a product of fewer rows differently.
+`DecodeCache.keep_rows` drops finished rows of the batch from the cache.
 
 Checkpoints come in two kinds, one per kind of model, at `FORMAT_VERSION`.
 A full checkpoint (`voxmix-checkpoint`) holds a model without adapters, such
@@ -113,6 +114,21 @@ class DecodeCache:
 
     length: int = 0
     kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
+
+    def keep_rows(self, going: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+        """Keep the batch rows where `going` is set in every K and V and in each of
+        `arrays`: they move to the front in place, and views of them are kept and
+        returned, so that a shrinking batch leaves no new buffers on the heap. For
+        inference: the K and V are changed in place and lose their graph."""
+        n = int(np.count_nonzero(going))
+
+        def front(a):
+            a[:n] = a[going]
+            return a[:n]
+
+        for prefix, (k, v) in self.kv.items():
+            self.kv[prefix] = (Tensor(front(k.values)), Tensor(front(v.values)))
+        return [front(a) for a in arrays]
 
 
 class TranscriberModel:

@@ -379,20 +379,24 @@ def attention_core(
     kh = np.ascontiguousarray(k.values.reshape(bsz, t_k, num_heads, dh).transpose(0, 2, 1, 3))
     vh = np.ascontiguousarray(v.values.reshape(bsz, t_k, num_heads, dh).transpose(0, 2, 1, 3))
 
-    scores = qh @ kh.swapaxes(-1, -2) * inv
+    # scores, their exponentials and the weights share one array, op for op as out of place
+    w = qh @ kh.swapaxes(-1, -2)
+    w *= inv
     if add_mask is not None:
-        scores = scores + add_mask
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    w = e / e.sum(axis=-1, keepdims=True)
+        w += add_mask
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
     ctx = (w @ vh).transpose(0, 2, 1, 3).reshape(bsz, t_q, dim)
 
     def rule(g):
         gh = g.reshape(bsz, t_q, num_heads, dh).transpose(0, 2, 1, 3)
         dq = dk = dv = None
         if q.requires_grad or k.requires_grad:
-            dw = gh @ vh.swapaxes(-1, -2)
-            ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * inv
+            ds = gh @ vh.swapaxes(-1, -2)  # dw, turned in place into w * (dw - sum(dw * w)) * inv
+            ds -= (ds * w).sum(axis=-1, keepdims=True)
+            ds *= w
+            ds *= inv
             if q.requires_grad:
                 dq = (ds @ kh).transpose(0, 2, 1, 3).reshape(bsz, t_q, dim)
             if k.requires_grad:
@@ -411,12 +415,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # each mean is ndarray.mean's own sum-then-divide, without its Python wrapper
     mu = np.add.reduce(x, axis=-1, keepdims=True)
     mu /= n
-    centered = x - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    xhat = x - mu  # centred, then scaled in place
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
     var /= n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    values = gain.values * xhat + bias.values
+    xhat *= inv_std
+    values = gain.values * xhat
+    values += bias.values
 
     def rule(g):
         gx = ggain = gbias = None
@@ -430,7 +435,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             m1 /= n
             m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
             m2 /= n
-            gx = (dxhat - m1 - xhat * m2) * inv_std
+            gx = dxhat  # (dxhat - m1 - xhat * m2) * inv_std, in place
+            gx -= m1
+            gx -= xhat * m2
+            gx *= inv_std
         return gx, ggain, gbias
 
     return _node(values, (a, gain, bias), rule)

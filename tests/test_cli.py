@@ -642,11 +642,34 @@ def test_eval_refuses_incomplete_transcripts(grid_out, tmp_path, damage):
     else:
         lines[0] = json.dumps({**json.loads(lines[0]), "condition": "mix"}) + "\n"
     path.write_text("".join(lines))
-    with pytest.raises(SystemExit, match="incomplete transcripts") as err:
+    with pytest.raises(ValueError) as err:
         cmd_eval(spec, out)
-    assert str(path) in str(err.value)
+    assert str(err.value).startswith(f"{path}: incomplete transcripts: ")
     assert f"has {len(lines)} lines" in str(err.value)
     assert f"expected {expected}" in str(err.value)
+
+
+@pytest.mark.parametrize("line, damage, error", [
+    (2, b"not json\n", "JSONDecodeError"),
+    (2, b"[1, 2]\n", "TypeError"),
+    (1, b'"text"\n', "TypeError"),
+    (2, {"text": 5}, "TypeError"),
+    (3, b"\xff", "UnicodeDecodeError"),
+], ids=["not_json", "list", "string", "text_not_string", "not_utf8"])
+def test_eval_refuses_an_unreadable_transcript_line_by_its_number(grid_out, tmp_path, line, damage, error):
+    spec = grid_out[0]
+    out = _copy_of(grid_out, tmp_path)
+    path = transcript_path(out, "pretrained", "voc")
+    lines = path.read_bytes().splitlines(keepends=True)
+    if isinstance(damage, dict):  # fields of the line's record replaced
+        damage = json.dumps({**json.loads(lines[line - 1]), **damage}).encode() + b"\n"
+    elif damage == b"\xff":  # a byte that is not UTF-8, inside the line's text
+        damage = lines[line - 1].replace(b'"text": "', b'"text": "\xff', 1)
+    lines[line - 1] = damage
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError) as err:
+        cmd_eval(spec, out)
+    assert str(err.value).startswith(f"{path}: line {line}: malformed record ({error}: ")
 
 
 def test_finetune_on_truncated_base_names_the_file(grid_out, tmp_path):

@@ -1,5 +1,5 @@
-"""A damage sweep over the files a grid reads back: a corpus, a full checkpoint
-and an adapters checkpoint, each damaged mechanically and read by its reader.
+"""A damage sweep over the files a grid reads back: a corpus, a full checkpoint,
+an adapters checkpoint and the spec, each damaged mechanically and read by its reader.
 
 Each damaged file must be refused with a ValueError that starts with its
 path; a checkpoint damaged in its free-form `seed_lineage` alone may instead
@@ -11,15 +11,19 @@ another JSON type and to true, an array's data cut short or not base64 and
 its shape wrong, a setting out of its class's range, a format version as a
 float, and a record's `sample_id` set to another sample's. Of the `base` and
 `adapters` maps only the first two entries are damaged, to bound the run
-time. Dropped, duplicated or reordered entries, and transcripts, are not
-swept here.
+time. The spec is damaged by truncation and by each key deleted at every
+depth; a key of the free-form `pretrain_gen_overrides` map is optional, so
+deleting one must read as the spec without that override. Dropped,
+duplicated or reordered entries, and transcripts, are not swept here.
 """
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
+from voxmix.cli import default_spec, load_spec, save_spec
 from voxmix.model import (
     LoraSpec,
     ModelConfig,
@@ -218,4 +222,37 @@ def test_every_damaged_corpus_is_refused_by_its_path_or_reads_the_same(tmp_path)
             cases.append((f"line {index + 1}: {name}", "".join(changed)))
     want = _corpus_state(load_corpus(path))
     bad = failures(cases, path, lambda: _corpus_state(load_corpus(path)), want)
+    assert not bad, "\n".join(bad)
+
+
+def test_every_truncated_spec_or_one_missing_a_key_is_refused_by_its_path(tmp_path):
+    path = tmp_path / "spec.json"
+    spec = default_spec()
+    save_spec(spec, path)
+    text = path.read_text()
+    doc = json.loads(text)
+    cases = list(truncated(text))
+    optional = {}  # an override deleted, and the spec it must read as
+    for place, _ in _places(doc):
+        if isinstance(place[-1], str):
+            name = f"{'.'.join(map(str, place))} deleted"
+            cases.append((name, json.dumps(_with(doc, place, DELETE))))
+            if place[:-1] == ("pretrain_gen_overrides",):
+                overrides = {k: v for k, v in spec.pretrain_gen_overrides.items() if k != place[-1]}
+                optional[name] = replace(spec, pretrain_gen_overrides=overrides)
+    assert len(cases) > 100 and len(optional) == 2
+    bad = []
+    for name, damaged_text in cases:
+        path.write_text(damaged_text)
+        try:
+            got = load_spec(path)
+        except ValueError as err:
+            if not str(err).startswith(f"{path}: "):
+                bad.append(f"{name}: {err}")
+            continue
+        except Exception as err:  # any other exception is a failure, reported with its case
+            bad.append(f"{name}: {type(err).__name__}: {err}")
+            continue
+        if got != optional.get(name):
+            bad.append(f"{name}: read without refusal")
     assert not bad, "\n".join(bad)

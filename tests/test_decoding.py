@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from voxmix import decoding
 from voxmix import numerics as nm
 from voxmix.decoding import DecodeConfig, transcribe_batch
 from voxmix.losses import LossConfig
@@ -273,6 +274,103 @@ def test_gradients_through_a_cached_decode_match_the_full_decode():
     for g_full, g_cached in zip(full, cached):
         np.testing.assert_allclose(g_cached, g_full, **CACHE_TOL)
     assert all(np.abs(g).max() > 0 for g in cached)
+
+
+# ---------------------------------------------------------------------------
+# finished rows leave the batch, and every other row's logits stay the same
+# ---------------------------------------------------------------------------
+
+
+def uncompacted_greedy(model, windows, cfg):
+    """The greedy loop in which every row runs to the last step, a finished row
+    emitting PAD: its tokens, the logits of the rows not yet finished at each
+    step, and how many steps each row decoded before it finished."""
+    feats, mask = pad_frames(windows)
+    y = np.full((len(windows), 1), BOS_ID, dtype=np.int64)
+    done = np.zeros(len(windows), dtype=bool)
+    steps, own = [], np.zeros(len(windows), dtype=int)
+    with nm.no_grad():
+        enc = encode_batch(model, feats, mask, train_mode=False)
+        cache = DecodeCache()
+        while True:
+            logits = decode_batch(model, enc, mask, y[:, -1:], train_mode=False, cache=cache)
+            steps.append(logits.values[~done, -1, :])
+            own += ~done
+            nxt = np.argmax(logits.values[:, -1, :], axis=-1)
+            nxt = np.where(done, PAD_ID, nxt)
+            y = np.concatenate([y, nxt[:, None]], axis=1)
+            done |= nxt == EOS_ID
+            if done.all() or y.shape[1] >= cfg.max_tokens:
+                break
+    return [[int(t) for t in row if t != PAD_ID] for row in y], steps, own
+
+
+def assert_rows_leave_with_unchanged_logits(model, windows, cfg, monkeypatch):
+    """transcribe_batch against the uncompacted loop, step by step; its tokens."""
+    want_tokens, want, own = uncompacted_greedy(model, windows, cfg)
+    got, fed = [], []
+
+    def recorded(model, enc, mask, y_in, *args, **kwargs):
+        logits = decode_batch(model, enc, mask, y_in, *args, **kwargs)
+        got.append(logits.values[:, -1, :].copy())
+        fed.append(len(y_in))
+        return logits
+
+    monkeypatch.setattr(decoding, "decode_batch", recorded)
+    tokens = transcribe_batch(model, windows, cfg)
+    monkeypatch.undo()
+    assert tokens == want_tokens
+    assert len(got) == len(want)
+    for step, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), f"step {step}"
+    # the work: each row is fed to decode_batch for its own steps only
+    assert sum(fed) == own.sum() < len(windows) * len(fed)
+    return tokens, fed
+
+
+def test_paired_vocal_and_mixture_rows_leave_the_batch_with_unchanged_logits(trained, monkeypatch):
+    # more windows than decoding.ENCODE_ROWS: the reference encodes them in one part
+    samples = [s for seed in range(90_200, 90_216) for s in generate_song(seed, GenConfig(), "toyla")]
+    windows = [s.x_v for s in samples] + [s.x_m for s in samples]
+    assert len(windows) > decoding.ENCODE_ROWS
+    assert_rows_leave_with_unchanged_logits(trained, windows, DecodeConfig(max_tokens=24), monkeypatch)
+
+
+def test_a_batch_where_all_rows_but_one_stop_at_the_first_step(monkeypatch):
+    model = build_model(ModelConfig(), seed=9)
+    windows = random_windows(model, [30, 64, 12, 50, 41, 7], seed=9)
+    _, (first, *_), _ = uncompacted_greedy(model, windows, DecodeConfig(max_tokens=2))
+    margin = np.delete(first, EOS_ID, axis=1).max(axis=1) - first[:, EOS_ID]  # EOS's shortfall
+    survivor = int(np.argmax(margin))
+    rest = np.delete(margin, survivor).max()
+    assert rest < margin[survivor]
+    # a bias that lifts EOS above every other row's best token, but not above the survivor's
+    model.params["dec.out.b"].values[EOS_ID] += (rest + margin[survivor]) / 2
+    tokens, fed = assert_rows_leave_with_unchanged_logits(model, windows, DecodeConfig(max_tokens=12),
+                                                          monkeypatch)
+    assert fed[:2] == [len(windows), 1]
+    assert [len(row) for i, row in enumerate(tokens) if i != survivor] == [2] * (len(windows) - 1)
+
+
+def test_a_row_cut_at_max_tokens_leaves_with_the_rows_that_finished(trained, monkeypatch):
+    samples = [generate_song(seed, GenConfig(), "toyla")[0] for seed in range(90_220, 90_226)]
+    # halved windows end sooner, so that rows finish before the longest is cut
+    windows = [s.x_v for s in samples] + [s.x_m[: s.duration_frames // 2] for s in samples]
+    lengths = [len(row) for row in transcribe_batch(trained, windows, DecodeConfig(max_tokens=24))]
+    cap = max(lengths) - 1  # the longest rows are cut one token short of their EOS
+    assert min(lengths) < cap
+    tokens, fed = assert_rows_leave_with_unchanged_logits(trained, windows, DecodeConfig(max_tokens=cap),
+                                                          monkeypatch)
+    cut = [row for row in tokens if len(row) == cap and EOS_ID not in row]
+    assert cut and len(fed) == cap - 1 and len(cut) <= fed[-1] < len(windows)
+
+
+def test_a_batch_of_paired_windows_decodes_as_its_two_halves(trained):
+    samples = [s for seed in range(90_230, 90_238) for s in generate_song(seed, GenConfig(), "toyla")]
+    vocal, mixture = [s.x_v for s in samples], [s.x_m for s in samples]
+    cfg = DecodeConfig(max_tokens=24)
+    together = transcribe_batch(trained, vocal + mixture, cfg)
+    assert together == transcribe_batch(trained, vocal, cfg) + transcribe_batch(trained, mixture, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,50 @@ def test_layer_norm_matches_the_ndarray_mean_expressions(shape):
     assert gain.grad.tobytes() == ggain.tobytes() and bias.grad.tobytes() == gbias.tobytes()
 
 
+def _attention_masks(rng, bsz, t_q, t_k):
+    """No mask, a key-padding mask over (B, 1, 1, Tk) and a causal mask over the
+    last Tq of Tk positions, as the decoder's cached steps lay it out."""
+    padding = np.where(rng.random((bsz, 1, 1, t_k)) < 0.3, -1e30, 0.0)
+    padding[..., 0] = 0.0  # every row keeps a key
+    causal = np.where(np.tri(t_q, t_k, t_k - t_q, dtype=bool), 0.0, -1e30)[None, None]
+    return {"none": None, "key_padding": padding, "causal": causal}
+
+
+@pytest.mark.parametrize("mask_kind", ["none", "key_padding", "causal"])
+def test_attention_core_matches_the_out_of_place_expressions(mask_kind):
+    rng = np.random.default_rng(15)
+    bsz, t_q, t_k, heads, dim = 3, 4, 6, 2, 12  # 1/sqrt(6) rounds, so the order of the scalings shows
+    q, k, v = (rand_tensor(rng, shape) for shape in ((bsz, t_q, dim), (bsz, t_k, dim), (bsz, t_k, dim)))
+    mask = _attention_masks(rng, bsz, t_q, t_k)[mask_kind]
+    out = attention_core(q, k, v, heads, mask)
+    g = rng.standard_normal(out.values.shape)
+    backward(tensor_sum(mul(out, Tensor(g))))
+
+    dh = dim // heads
+    inv = 1.0 / np.sqrt(dh)
+
+    def split(x, t):
+        return np.ascontiguousarray(x.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3))
+
+    def merge(x, t):
+        return x.transpose(0, 2, 1, 3).reshape(bsz, t, dim)
+
+    qh, kh, vh = split(q.values, t_q), split(k.values, t_k), split(v.values, t_k)
+    scores = qh @ kh.swapaxes(-1, -2) * inv
+    if mask is not None:
+        scores = scores + mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    w = e / e.sum(axis=-1, keepdims=True)
+    assert out.values.tobytes() == merge(w @ vh, t_q).tobytes()
+    gh = g.reshape(bsz, t_q, heads, dh).transpose(0, 2, 1, 3)
+    dw = gh @ vh.swapaxes(-1, -2)
+    ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * inv
+    assert q.grad.tobytes() == merge(ds @ kh, t_q).tobytes()
+    assert k.grad.tobytes() == merge(ds.swapaxes(-1, -2) @ qh, t_k).tobytes()
+    assert v.grad.tobytes() == merge(w.swapaxes(-1, -2) @ gh, t_k).tobytes()
+
+
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_core_skips_the_gradient_of_a_key_that_needs_none(masked):
     rng = np.random.default_rng(14)
