@@ -11,8 +11,10 @@ B matrices at zero the forward pass is bit-identical.
 The forward pass has two entry points, `encode_batch` and `decode_batch`.
 Both take padded arrays with validity masks, as `pad_frames` lays them
 out; a single sample is a batch of one, and `encode_batch` refuses more
-than `max_audio_frames` frames. Every projection goes through `_proj`,
-which adds a LoRA branch where the projection is adapted.
+than `max_audio_frames` frames. Every projection goes through `_proj`.
+An adapted one is one graph node for the base product and the LoRA branch
+(`numerics.lora_linear`), after the branch's own dropout node in train
+mode; each MLP is one node too (`numerics.mlp`).
 
 With a `DecodeCache`, `decode_batch` runs incrementally: cross-attention
 projects the encoder output once, self-attention appends each call's keys
@@ -234,17 +236,15 @@ def _proj(model, prefix, matrix, x, train_mode, rng):
     """
     w = model.params[f"{prefix}.{matrix}"]
     b = model.params[f"{prefix}.b{matrix[1]}"]
-    out = nm.linear(x, w, b)
     adapter = model.adapters.get(f"{prefix}.{matrix}")
     if adapter is None:
-        return out
+        return nm.linear(x, w, b)
     branch = x
     if train_mode and model.lora.dropout > 0.0:
         if rng is None:
             raise ValueError("train-mode forward with adapter dropout needs an rng")
         branch = nm.dropout(branch, model.lora.dropout, rng)
-    delta = nm.linear(nm.linear(branch, adapter.a), adapter.b)
-    return nm.add(out, nm.scale(delta, model.lora.alpha / model.lora.rank))
+    return nm.lora_linear(x, branch, w, b, adapter.a, adapter.b, model.lora.alpha / model.lora.rank)
 
 
 def _attention(model, prefix, x_q, x_kv, add_mask, train_mode, rng, cache=None):
@@ -268,8 +268,8 @@ def _ln(model, name, x):
 
 
 def _mlp(model, prefix, x):
-    h = nm.linear(x, model.params[f"{prefix}.mlp.w1"], model.params[f"{prefix}.mlp.b1"])
-    return nm.linear(nm.relu(h), model.params[f"{prefix}.mlp.w2"], model.params[f"{prefix}.mlp.b2"])
+    p = model.params
+    return nm.mlp(x, *(p[f"{prefix}.mlp.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def pad_frames(windows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

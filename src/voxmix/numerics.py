@@ -12,7 +12,10 @@ until the leaf is explicitly zeroed. Graphs are rebuilt per forward pass.
 
 Everything is double precision and CPU-only on purpose: the models here
 are desk-scale and the whole engine is validated against central finite
-differences.
+differences. The fused ops `lora_linear` and `mlp` are one node each where
+their compositions of primitive ops were several; they are checked against
+finite differences too, and against those compositions bit for bit, in value
+and in every gradient.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ __all__ = [
     "layer_norm",
     "embedding",
     "linear",
+    "lora_linear",
+    "mlp",
     "dropout",
     "mean",
     "tensor_sum",
@@ -375,9 +380,15 @@ def attention_core(
     dh = dim // num_heads
     inv = 1.0 / np.sqrt(dh)
 
-    qh = np.ascontiguousarray(q.values.reshape(bsz, t_q, num_heads, dh).transpose(0, 2, 1, 3))
-    kh = np.ascontiguousarray(k.values.reshape(bsz, t_k, num_heads, dh).transpose(0, 2, 1, 3))
-    vh = np.ascontiguousarray(v.values.reshape(bsz, t_k, num_heads, dh).transpose(0, 2, 1, 3))
+    def heads(x, t):  # a (B, nh, T, dh) view of (B, T, H); its products round as a copy's
+        return x.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3)
+
+    def merged(a, b, t):  # the product a @ b of head-split operands, written as (B, T, H)
+        out = np.empty((bsz, t, dim))
+        np.matmul(a, b, out=heads(out, t))
+        return out
+
+    qh, kh, vh = heads(q.values, t_q), heads(k.values, t_k), heads(v.values, t_k)
 
     # scores, their exponentials and the weights share one array, op for op as out of place
     w = qh @ kh.swapaxes(-1, -2)
@@ -387,10 +398,10 @@ def attention_core(
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    ctx = (w @ vh).transpose(0, 2, 1, 3).reshape(bsz, t_q, dim)
+    ctx = merged(w, vh, t_q)
 
     def rule(g):
-        gh = g.reshape(bsz, t_q, num_heads, dh).transpose(0, 2, 1, 3)
+        gh = heads(g, t_q)
         dq = dk = dv = None
         if q.requires_grad or k.requires_grad:
             ds = gh @ vh.swapaxes(-1, -2)  # dw, turned in place into w * (dw - sum(dw * w)) * inv
@@ -398,11 +409,11 @@ def attention_core(
             ds *= w
             ds *= inv
             if q.requires_grad:
-                dq = (ds @ kh).transpose(0, 2, 1, 3).reshape(bsz, t_q, dim)
+                dq = merged(ds, kh, t_q)
             if k.requires_grad:
-                dk = (ds.swapaxes(-1, -2) @ qh).transpose(0, 2, 1, 3).reshape(bsz, t_k, dim)
+                dk = merged(ds.swapaxes(-1, -2), qh, t_k)
         if v.requires_grad:
-            dv = (w.swapaxes(-1, -2) @ gh).transpose(0, 2, 1, 3).reshape(bsz, t_k, dim)
+            dv = merged(w.swapaxes(-1, -2), gh, t_k)
         return dq, dk, dv
 
     return _node(ctx, (q, k, v), rule)
@@ -462,6 +473,15 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _node(values, (table,), rule)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
+def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The gradient of w in x @ wᵀ for its output's gradient g, over every leading axis."""
+    return _rows(g).T @ _rows(x)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map y = x @ wᵀ (+ b) with w stored as (d_out, d_in)."""
     if x.values.shape[-1] != w.values.shape[-1]:
@@ -473,17 +493,59 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         values += b.values
 
     def rule(g):
-        gx = gw = gb = None
-        if x.requires_grad:
-            gx = g @ w.values
-        if w.requires_grad:
-            gw = g.reshape(-1, g.shape[-1]).T @ x.values.reshape(-1, x.values.shape[-1])
-        if b is not None and b.requires_grad:
-            gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
-        return (gx, gw, gb) if b is not None else (gx, gw)
+        gx = g @ w.values if x.requires_grad else None
+        gw = _weight_grad(g, x.values) if w.requires_grad else None
+        if b is None:
+            return gx, gw
+        return gx, gw, _rows(g).sum(axis=0) if b.requires_grad else None
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(values, parents, rule)
+
+
+def lora_linear(x: Tensor, d: Tensor, w: Tensor, b: Tensor, a: Tensor, b_lora: Tensor, c: float) -> Tensor:
+    """x @ wᵀ + b + c * ((d @ aᵀ) @ b_loraᵀ) as one node, op for op as `add(linear(x, w, b),
+    scale(linear(linear(d, a), b_lora), c))`; `d` is `x` or `dropout(x)`."""
+    c = float(c)
+    values = x.values @ w.values.T
+    values += b.values
+    t = d.values @ a.values.T
+    delta = t @ b_lora.values.T
+    delta *= c
+    values += delta
+
+    def rule(g):
+        gs = g * c
+        gt = gs @ b_lora.values if d.requires_grad or a.requires_grad else None
+        return (g @ w.values if x.requires_grad else None,
+                gt @ a.values if d.requires_grad else None,
+                _weight_grad(g, x.values) if w.requires_grad else None,
+                _rows(g).sum(axis=0) if b.requires_grad else None,
+                _weight_grad(gt, d.values) if a.requires_grad else None,
+                _weight_grad(gs, t) if b_lora.requires_grad else None)
+
+    return _node(values, (x, d, w, b, a, b_lora), rule)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(relu(linear(x, w1, b1)), w2, b2) as one node, op for op; the ReLU runs in
+    place, as `h > 0` is the same mask before and after it."""
+    h = x.values @ w1.values.T
+    h += b1.values
+    np.maximum(h, 0.0, out=h)
+    values = h @ w2.values.T
+    values += b2.values
+
+    def rule(g):
+        first = x.requires_grad or w1.requires_grad or b1.requires_grad
+        gh = (g @ w2.values) * (h > 0.0) if first else None
+        return (gh @ w1.values if x.requires_grad else None,
+                _weight_grad(gh, x.values) if w1.requires_grad else None,
+                _rows(gh).sum(axis=0) if b1.requires_grad else None,
+                _weight_grad(g, h) if w2.requires_grad else None,
+                _rows(g).sum(axis=0) if b2.requires_grad else None)
+
+    return _node(values, (x, w1, b1, w2, b2), rule)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -290,11 +290,13 @@ def write_corpus(path, cfg: GenConfig, samples: list[PairedSample]) -> None:
 
 def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
     """A corpus file's gen config and samples. A damaged file, one of another kind or
-    version, or a record of a language the header lacks or that rebuilds another
-    `sample_id` or text, raises a ValueError naming the file and line (`files.refusing`)."""
-    with refusing(path, "corpus"), open(path, "r", encoding="utf-8") as fh:
+    version, a record of a language the header lacks or that rebuilds another
+    `sample_id` or text, or a song's segments not all in order, once, as
+    `build_corpus` writes them, raises a ValueError naming the file and line
+    (`files.refusing`). Each line is decoded in its own frame."""
+    with refusing(path, "corpus"), open(path, "rb") as fh:
         with refusing("line 1", "header"):
-            header = json.loads(fh.readline())
+            header = json.loads(fh.readline().decode("utf-8"))
             if not isinstance(header, dict) or header.get("kind") != "voxmix-corpus":
                 raise ValueError("not a voxmix corpus file")
             if (version := read_settings(int, header["version"], "version")) != CORPUS_VERSION:
@@ -303,22 +305,37 @@ def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
         tables = {lang: song_tables(cfg, lang) for lang in cfg.languages}
         songs: dict[tuple[str, int], list[PairedSample]] = {}
         samples = []
+        due, lineno = None, 1  # the (language, seed, segment_index) the next record must be
         for lineno, line in enumerate(fh, start=2):
             with refusing(f"line {lineno}", "record"):
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
                 lang = rec["language"]
                 if lang not in cfg.languages:
                     raise ValueError(f"language {lang!r} is not in gen.languages {cfg.languages}")
-                key = (lang, rec["seed"])
-                if key not in songs:
-                    seed = read_settings(int, rec["seed"], "seed")
-                    songs[key] = generate_song(seed, cfg, lang, tables[lang])
-                sample = songs[key][rec["segment_index"]]
+                seed = read_settings(int, rec["seed"], "seed")
+                index = read_settings(int, rec["segment_index"], "segment_index")
+                if due is None and index == 0 and (lang, seed) not in songs:
+                    songs[lang, seed] = generate_song(seed, cfg, lang, tables[lang])
+                elif (lang, seed, index) != due:
+                    raise ValueError(f"segment {index} of song {lang}-{seed} where {_due(due)} is due; "
+                                     f"a corpus holds every segment of each song, in order")
+                segments = songs[lang, seed]
+                sample = segments[index]
                 if (rec["sample_id"], rec["text"]) != (sample.sample_id, sample.text):
                     raise ValueError(f"record {rec['sample_id']} does not regenerate: stored "
                                      f"{rec['text']!r}, rebuilt {sample.sample_id} {sample.text!r}")
                 samples.append(sample)
+                due = (lang, seed, index + 1) if index + 1 < len(segments) else None
+        if due is not None:
+            raise ValueError(f"line {lineno + 1}: the file ends where {_due(due)} is due")
     return cfg, samples
+
+
+def _due(due: tuple[str, int, int] | None) -> str:
+    if due is None:
+        return "segment 0 of a song not yet read"
+    lang, seed, index = due
+    return f"segment {index} of song {lang}-{seed}"
 
 
 def corpus_digest(samples: list[PairedSample]) -> str:

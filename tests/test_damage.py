@@ -13,8 +13,10 @@ float, and a record's `sample_id` set to another sample's. Of the `base` and
 `adapters` maps only the first two entries are damaged, to bound the run
 time. The spec is damaged by truncation and by each key deleted at every
 depth; a key of the free-form `pretrain_gen_overrides` map is optional, so
-deleting one must read as the spec without that override. Dropped,
-duplicated or reordered entries, and transcripts, are not swept here.
+deleting one must read as the spec without that override. Of dropped,
+duplicated or reordered entries, only a corpus's records are swept here, each
+refused by the line where a record is missing or one too many; transcripts
+are not swept here.
 """
 
 import copy
@@ -223,6 +225,43 @@ def test_every_damaged_corpus_is_refused_by_its_path_or_reads_the_same(tmp_path)
     want = _corpus_state(load_corpus(path))
     bad = failures(cases, path, lambda: _corpus_state(load_corpus(path)), want)
     assert not bad, "\n".join(bad)
+
+
+def test_a_corpus_record_dropped_duplicated_or_swapped_is_refused_by_its_line(tmp_path):
+    path = tmp_path / "train.jsonl"
+    write_corpus(path, GenConfig(), build_corpus(GenConfig(), songs_per_language=1, seed_base=0))
+    header, *records = path.read_text().splitlines(keepends=True)
+    songs = [json.loads(r)["seed"] for r in records]
+    assert len(set(songs)) == 2 and all(songs.count(seed) >= 2 for seed in songs)
+    cases = []  # (name, records, the line refused): where a record is missing, or one too many
+    for i in range(len(records)):
+        cases.append((f"record {i + 1} dropped", records[:i] + records[i + 1:], i + 2))
+        cases.append((f"record {i + 1} duplicated", records[:i + 1] + records[i:], i + 3))
+        if i + 1 < len(records):
+            swapped = records[:i] + [records[i + 1], records[i]] + records[i + 2:]
+            cases.append((f"records {i + 1} and {i + 2} swapped", swapped, i + 2))
+    bad = []
+    for name, changed, line in cases:
+        path.write_text(header + "".join(changed))
+        try:
+            load_corpus(path)
+        except ValueError as err:
+            if not str(err).startswith(f"{path}: line {line}: "):
+                bad.append(f"{name}: {err}")
+            continue
+        bad.append(f"{name}: read without refusal")
+    assert not bad, "\n".join(bad)
+
+
+def test_a_corpus_byte_that_is_not_utf8_is_refused_by_its_line(tmp_path):
+    path = tmp_path / "train.jsonl"
+    write_corpus(path, GenConfig(), build_corpus(GenConfig(), songs_per_language=1, seed_base=0))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"text": "', b'"text": "\xff', 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}: line 3: malformed record (UnicodeDecodeError: ")
 
 
 def test_every_truncated_spec_or_one_missing_a_key_is_refused_by_its_path(tmp_path):

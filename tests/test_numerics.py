@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdcheck import assert_grads_match
+from voxmix.model import DecodeCache
 from voxmix.numerics import (
     Tensor,
     add,
@@ -17,8 +18,10 @@ from voxmix.numerics import (
     gelu,
     layer_norm,
     linear,
+    lora_linear,
     matmul,
     mean,
+    mlp,
     mul,
     narrow,
     no_grad,
@@ -238,6 +241,23 @@ def _fd_case(rng, op_name):
     if op_name == "linear":
         x, w, b = rand_tensor(rng, (3, 4)), rand_tensor(rng, (5, 4)), rand_tensor(rng, (5,))
         return lambda: mean(linear(x, w, b)), [x, w, b]
+    if op_name == "lora_linear":
+        x, w, b = rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (5, 4)), rand_tensor(rng, (5,))
+        a, b_lora = rand_tensor(rng, (2, 4)), rand_tensor(rng, (5, 2))
+
+        def build():  # the same dropout mask at every call
+            d = dropout(x, 0.3, np.random.default_rng(1))
+            return mean(lora_linear(x, d, w, b, a, b_lora, 1.5))
+
+        return build, [x, w, b, a, b_lora]
+    if op_name == "mlp":
+        # small products beside biases of 1 to 2 either way keep each unit off the kink
+        x, w1, w2, b2 = (rand_tensor(rng, shape) for shape in ((2, 3, 4), (6, 4), (4, 6), (4,)))
+        w1.values *= 0.1
+        x.values *= 0.1
+        signs = np.where(np.arange(6) % 2, -1.0, 1.0)
+        b1 = Tensor(signs * (1.0 + rng.random(6)), requires_grad=True)
+        return lambda: mean(mlp(x, w1, b1, w2, b2)), [x, w1, b1, w2, b2]
     if op_name == "transpose":
         a = rand_tensor(rng, (2, 3, 4))
         return lambda: mean(mul(transpose(a), transpose(a))), [a]
@@ -307,6 +327,8 @@ def _fd_case(rng, op_name):
         "matmul",
         "matmul_batched",
         "linear",
+        "lora_linear",
+        "mlp",
         "transpose",
         "reshape",
         "concat",
@@ -390,11 +412,29 @@ def _attention_masks(rng, bsz, t_q, t_k):
     return {"none": None, "key_padding": padding, "causal": causal}
 
 
+# (B, Tq, Tk): one of each encoder, decoder-training and cached-decoding step of the grid
+ATTENTION_SHAPES = [(130, 48, 48), (65, 64, 64), (16, 21, 21), (130, 1, 48), (65, 1, 3)]
+
+
 @pytest.mark.parametrize("mask_kind", ["none", "key_padding", "causal"])
 def test_attention_core_matches_the_out_of_place_expressions(mask_kind):
-    rng = np.random.default_rng(15)
-    bsz, t_q, t_k, heads, dim = 3, 4, 6, 2, 12  # 1/sqrt(6) rounds, so the order of the scalings shows
+    # 1/sqrt(6) rounds, so the order of the scalings shows
+    _check_attention(np.random.default_rng(15), 3, 4, 6, 2, 12, mask_kind)
+    for i, (bsz, t_q, t_k) in enumerate(ATTENTION_SHAPES):
+        _check_attention(np.random.default_rng(16 + i), bsz, t_q, t_k, 2, 32, mask_kind)
+    # K and V as a cache keeps them after rows leave: prefix views of larger buffers
+    _check_attention(np.random.default_rng(21), 65, 1, 48, 2, 32, mask_kind, kept_rows=True)
+
+
+def _check_attention(rng, bsz, t_q, t_k, heads, dim, mask_kind, kept_rows=False):
     q, k, v = (rand_tensor(rng, shape) for shape in ((bsz, t_q, dim), (bsz, t_k, dim), (bsz, t_k, dim)))
+    if kept_rows:
+        going = np.ones(bsz + 7, dtype=bool)
+        going[rng.choice(bsz + 7, size=7, replace=False)] = False
+        cache = DecodeCache(kv={"x": tuple(rand_tensor(rng, (bsz + 7, t_k, dim)) for _ in "kv")})
+        cache.keep_rows(going)
+        k, v = (Tensor(t.values, requires_grad=True) for t in cache.kv["x"])
+        assert k.values.base is not None and k.values.shape == (bsz, t_k, dim)
     mask = _attention_masks(rng, bsz, t_q, t_k)[mask_kind]
     out = attention_core(q, k, v, heads, mask)
     g = rng.standard_normal(out.values.shape)
@@ -438,6 +478,76 @@ def test_attention_core_skips_the_gradient_of_a_key_that_needs_none(masked):
     dq_without, dk_without, dv_without = no_key._backward(g)
     assert dk is not None and dk_without is None
     assert dq_without.tobytes() == dq.tobytes() and dv_without.tobytes() == dv.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# fused nodes against the primitive ops they replace, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _grads_through(build, arrays, needs):
+    """The output of `build(*leaves)` and the gradient of every leaf that needs
+    one after a backward of sum(out * g), for leaves made fresh from `arrays`."""
+    leaves = [Tensor(a.copy(), requires_grad=bool(n)) for a, n in zip(arrays, needs)]
+    out = build(*leaves)
+    g = np.random.default_rng(30).standard_normal(out.values.shape)
+    backward(tensor_sum(mul(out, Tensor(g))))
+    return [out.values.tobytes()] + [t.grad.tobytes() for t in leaves if t.requires_grad]
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.25])
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("base_grad", [True, False])
+@pytest.mark.parametrize("c", [1.0, 0.7])
+def test_lora_linear_matches_its_composition(rate, x_grad, base_grad, c):
+    # x feeds two adapted projections and a plain one, as an attention's input does,
+    # so the order in which its gradient's parts are added shows too
+    rng = np.random.default_rng(31)
+    h, r = 8, 2
+    arrays = [rng.standard_normal((2, 5, h))]
+    for _ in range(2):
+        arrays += [rng.standard_normal((h, h)), rng.standard_normal(h),
+                   rng.standard_normal((r, h)), rng.standard_normal((h, r))]
+    needs = [x_grad] + [base_grad, base_grad, True, True] * 2
+
+    def branch(x, drop):
+        return dropout(x, rate, drop) if rate else x
+
+    def fused(x, *p):
+        drop = np.random.default_rng(32)
+        q = lora_linear(x, branch(x, drop), p[0], p[1], p[2], p[3], c)
+        v = lora_linear(x, branch(x, drop), p[4], p[5], p[6], p[7], c)
+        return add(add(q, linear(x, p[0], p[1])), v)
+
+    def composed(x, *p):
+        drop = np.random.default_rng(32)
+
+        def proj(w, b, a, b_lora):
+            return add(linear(x, w, b), scale(linear(linear(branch(x, drop), a), b_lora), c))
+
+        return add(add(proj(*p[:4]), linear(x, p[0], p[1])), proj(*p[4:]))
+
+    assert _grads_through(fused, arrays, needs) == _grads_through(composed, arrays, needs)
+
+
+# which of x, w1, b1, w2 and b2 need a gradient
+MLP_NEEDS = {"all": (1, 1, 1, 1, 1), "x_only": (1, 0, 0, 0, 0), "weights_only": (0, 1, 1, 1, 1),
+             "first_layer_only": (0, 1, 1, 0, 0), "second_layer_only": (0, 0, 0, 1, 1)}
+
+
+@pytest.mark.parametrize("needs", MLP_NEEDS.values(), ids=MLP_NEEDS.keys())
+def test_mlp_matches_its_composition(needs):
+    rng = np.random.default_rng(33)
+    h = 6
+    shapes = ((2, 5, h), (4 * h, h), (4 * h,), (h, 4 * h), (h,))
+    x, w1, b1, w2, b2 = arrays = [rng.standard_normal(shape) for shape in shapes]
+    w1[3], b1[3] = 0.0, 0.0  # hidden unit 3 is exactly 0 everywhere
+    assert not (x @ w1.T + b1)[..., 3].any()
+
+    def composed(x, w1, b1, w2, b2):
+        return linear(relu(linear(x, w1, b1)), w2, b2)
+
+    assert _grads_through(mlp, arrays, needs) == _grads_through(composed, arrays, needs)
 
 
 def test_dropout_zero_rate_is_identity():
