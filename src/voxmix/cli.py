@@ -27,13 +27,15 @@ base, read-only, across cells; in a parallel grid each worker loads them
 once. Decode transcribes every condition of a model in one
 `transcribe_batch` call, a sample's vocal and mixture windows in one batch.
 Every file is written atomically (see files.atomic_write); a transcript line
-that eval cannot read is refused by its file and line number.
+that eval cannot read is refused by its file and line number. Eval's median
+over seeds is `statistics.median`: numpy's bit for bit, without `numpy.ma`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -44,7 +46,7 @@ import numpy as np
 
 from voxmix.decoding import DecodeConfig, transcribe_batch
 from voxmix.evaluation import CONDITIONS, aggregate, comparison_markdown, report_csv, wer
-from voxmix.files import atomic_write, read_settings, refusing
+from voxmix.files import atomic_write, parse_json, read_settings, refusing
 from voxmix.losses import LossConfig
 from voxmix.model import (
     LoraSpec,
@@ -177,7 +179,7 @@ def load_spec(path) -> ExperimentSpec:
     """The spec at `path`; a file without a valid spec raises a ValueError starting
     with the path (see files.refusing)."""
     with refusing(path, "spec"), open(path, "r", encoding="utf-8") as fh:
-        return read_settings(ExperimentSpec, json.load(fh))
+        return read_settings(ExperimentSpec, parse_json(fh.read()))
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:
@@ -359,7 +361,7 @@ def _load_transcripts(out: Path, cell: str, refs: dict[str, str]) -> dict[tuple[
         with refusing(path, "transcripts"), open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 with refusing(f"line {lineno}", "record"):
-                    rec = json.loads(line.decode("utf-8"))
+                    rec = parse_json(line.decode("utf-8"))
                     sid, text = rec["sample_id"], rec["text"]
                     if not isinstance(text, str):
                         raise TypeError(f"text must be str, got {text!r}")
@@ -410,7 +412,7 @@ def cmd_eval(spec: ExperimentSpec, out: Path) -> None:
         per_key: dict[tuple[str, str], float] = {}
         for key in pooled_by_cell[cell_name(cell.cell_id, spec.seeds[0])]:
             values = [pooled_by_cell[cell_name(cell.cell_id, s)][key] for s in spec.seeds]
-            per_key[key] = float(np.median(values))
+            per_key[key] = statistics.median(values)
         rows.append((cell.cell_id, per_key))
 
     with atomic_write(rdir / "summary.md") as fh:

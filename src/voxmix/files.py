@@ -4,7 +4,8 @@ Every file the pipeline emits (corpora, the spec, metrics logs, checkpoints,
 transcripts and reports) is written through `atomic_write`, so a run killed
 mid-write never leaves a half-written file that a later stage would trust.
 A refused read names the file in `refusing`, which every reader runs inside,
-the field in `read_settings`, and the rule in the settings class's `__post_init__`.
+the field in `read_settings`, and the rule in the settings class's `__post_init__`;
+every reader parses with `parse_json`, which refuses a key repeated in one object.
 """
 
 from __future__ import annotations
@@ -57,6 +58,24 @@ def refusing(path, what: str):
         raise ValueError(f"{path}: malformed {what} ({type(err).__name__}: {err})") from err
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
+
+
+def parse_json(text: str):
+    """The JSON document `text`, as `json.loads` reads it but for a key repeated in one
+    object: `json` keeps its last value, this raises a ValueError naming the key."""
+    return _DECODER.decode(text)
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in obj if keys.count(k) > 1)!r}")
+    return obj
+
+
+# built once: json.loads(text, object_pairs_hook=...) would build a decoder per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def read_settings(want, value, where: str = ""):

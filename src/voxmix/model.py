@@ -48,7 +48,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from voxmix import numerics as nm
-from voxmix.files import atomic_write, read_settings, refusing
+from voxmix.files import atomic_write, parse_json, read_settings, refusing
 from voxmix.numerics import Tensor
 from voxmix.synthdata import VOCAB_SIZE
 
@@ -490,7 +490,7 @@ def load_checkpoint(path, base: TranscriberModel | None = None) -> tuple[Transcr
 
 def _read_checkpoint(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = parse_json(fh.read())
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in (FULL_KIND, ADAPTERS_KIND):
         raise ValueError("not a voxmix checkpoint")

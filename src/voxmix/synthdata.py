@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from voxmix.files import atomic_write, read_settings, refusing
+from voxmix.files import atomic_write, parse_json, read_settings, refusing
 
 CORPUS_VERSION = 1  # format version of a corpus file's header
 
@@ -128,14 +128,14 @@ class GenConfig:
 
 @dataclass
 class PairedSample:
-    """One lyrics segment with paired vocal and mixture feature renderings."""
+    """One lyrics segment with paired vocal and mixture feature renderings, both read-only."""
 
     sample_id: str
     language: str
     text: str
     tokens: list[int]  # [BOS, ..., EOS]
     x_v: np.ndarray  # (T, F) vocal features
-    x_m: np.ndarray  # (T, F) mixture features: x_v + gain * distractor
+    x_m: np.ndarray  # (T, F) mixture features: x_v + gain * distractor; x_v itself at gain 0
     gain: float
     seed: int
     segment_index: int
@@ -228,7 +228,10 @@ def generate_song(
             tables.distractor[distractor_ids], cfg.frames_per_token, axis=0
         )
         gain = float(rng.uniform(cfg.gain_range[0], cfg.gain_range[1]))
-        x_m = x_v + gain * distractor
+        # x_v + 0 * d is x_v bit for bit: a sum with normal noise holds no -0.0
+        x_m = x_v if gain == 0.0 else x_v + gain * distractor
+        x_v.setflags(write=False)
+        x_m.setflags(write=False)
         out.append(
             PairedSample(
                 sample_id=f"{language}-{seed}-{seg_idx}",
@@ -296,7 +299,7 @@ def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
     (`files.refusing`). Each line is decoded in its own frame."""
     with refusing(path, "corpus"), open(path, "rb") as fh:
         with refusing("line 1", "header"):
-            header = json.loads(fh.readline().decode("utf-8"))
+            header = parse_json(fh.readline().decode("utf-8"))
             if not isinstance(header, dict) or header.get("kind") != "voxmix-corpus":
                 raise ValueError("not a voxmix corpus file")
             if (version := read_settings(int, header["version"], "version")) != CORPUS_VERSION:
@@ -308,7 +311,7 @@ def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
         due, lineno = None, 1  # the (language, seed, segment_index) the next record must be
         for lineno, line in enumerate(fh, start=2):
             with refusing(f"line {lineno}", "record"):
-                rec = json.loads(line.decode("utf-8"))
+                rec = parse_json(line.decode("utf-8"))
                 lang = rec["language"]
                 if lang not in cfg.languages:
                     raise ValueError(f"language {lang!r} is not in gen.languages {cfg.languages}")

@@ -12,9 +12,11 @@ the weighted encoder-consistency term. One backward pass per step, then
 one Adam update of the model's trainable parameters (its adapters, if
 any), whose moments `m` and `v` are two flat float64 arrays over every
 parameter's values in `params` order; a resume file would store those two
-arrays. The loop is `next_batch` then `train_step` over one `TrainState`, the
-run's whole position; `train_step` returns the row `run_experiment` logs:
-`step`, `lr`, `l_v`, `l_m`, `l_cns` (None for an absent term) and `l_total`.
+arrays. The step's graph is released before Adam runs, and Adam's
+temporaries are the flat gradient and one scratch array. The loop is
+`next_batch` then `train_step` over one `TrainState`, the run's whole
+position; `train_step` returns the row `run_experiment` logs: `step`, `lr`,
+`l_v`, `l_m`, `l_cns` (None for an absent term) and `l_total`.
 """
 
 from __future__ import annotations
@@ -116,9 +118,11 @@ def adam_step(
     c1 = 1.0 - beta1**step
     c2 = 1.0 - beta2**step
     # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and p -= lr*(m/c1) / (sqrt(v/c2) + eps),
-    # op for op in that order, so each value rounds as a per-parameter update would
+    # op for op in that order, so each value rounds as a per-parameter update would;
+    # `scratch` holds (1-b1)*g, then m/c1
+    scratch = np.multiply(g, 1.0 - beta1)
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += scratch
     v *= beta2
     g *= g
     g *= 1.0 - beta2
@@ -126,7 +130,7 @@ def adam_step(
     denom = np.divide(v, c2, out=g)
     np.sqrt(denom, out=denom)
     denom += eps
-    update = m / c1
+    update = np.divide(m, c1, out=scratch)
     update *= lr
     update /= denom
     start = 0
@@ -252,6 +256,7 @@ def train_step(
     if not np.isfinite(losses["l_total"]):
         raise NonFiniteLossError(step, losses["l_total"])
     backward(total)
+    del total  # the graph and its saved activations go before Adam's temporaries come
     adam_step(state.params, [p.grad for p in state.params], state.m, state.v, step, lr)
     state.step = step
     return {"step": step, "lr": lr, **losses}

@@ -2,6 +2,8 @@ import copy
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from voxmix.cli import (
     transcript_path,
 )
 from voxmix.decoding import DecodeConfig
+from voxmix.evaluation import CONDITIONS, aggregate
 from voxmix.files import read_settings
 from voxmix.losses import LossConfig
 from voxmix.model import ModelConfig
@@ -461,6 +464,55 @@ def test_eval_lists_missing_cells(tmp_path):
     cmd_gen_data(spec, out)
     with pytest.raises(SystemExit, match="cns_l2_w1.0_s1"):
         cmd_eval(spec, out)
+
+
+@pytest.mark.parametrize("seeds", [2, 5])
+def test_eval_takes_the_seed_median_as_numpy_would_bit_for_bit(tmp_path, monkeypatch, seeds):
+    out = tmp_path / "out"
+    spec = micro_spec(str(out))
+    spec = replace(spec, seeds=list(range(seeds)), strategies=spec.strategies[:1])
+    cmd_gen_data(spec, out)
+    _, test = load_corpus(corpus_path(out, "test"))
+    rank = {s.sample_id: [t.language for t in test[:i]].count(s.language) for i, s in enumerate(test)}
+    for k, cell in enumerate(all_cells(spec)):  # k samples of each language left blank: every WER differs
+        for cond in CONDITIONS:
+            path = transcript_path(out, cell, cond)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("".join(json.dumps({"sample_id": s.sample_id, "condition": cond,
+                                                "text": "" if rank[s.sample_id] < k else s.text}) + "\n"
+                                    for s in test))
+    pooled, rows = [], []  # each cell's pooled WERs, and the summary's rows
+
+    def pooling(*args):
+        pooled.append(aggregate(*args))
+        return pooled[-1]
+
+    monkeypatch.setattr(cli, "aggregate", pooling)
+    monkeypatch.setattr(cli, "comparison_markdown", lambda got, subsets: rows.extend(got) or "")
+    cmd_eval(spec, out)
+    (name, medians), = rows[1:]
+    assert name == spec.strategies[0].cell_id
+    for key, median in medians.items():
+        values = [cell[key].wer for cell in pooled[1:]]
+        assert len(set(values)) == seeds
+        assert median.hex() == float(np.median(values)).hex(), key
+
+
+def test_a_grid_leaves_numpy_ma_unimported(tmp_path):
+    # np.median imports numpy.ma, 2 MB of resident memory that eval's medians do not need
+    spec = micro_spec(str(tmp_path / "out"))
+    spec = replace(spec, pretrain=replace(spec.pretrain, total_steps=2),
+                   finetune=replace(spec.finetune, total_steps=2))
+    save_spec(spec, tmp_path / "spec.json")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); from pathlib import Path; "
+            f"from voxmix.cli import cmd_grid, load_spec; "
+            f"cmd_grid(load_spec({str(tmp_path / 'spec.json')!r}), Path({spec.out_dir!r}), jobs=1); "
+            f"print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "reports" / "summary.csv").exists()
+    assert done.stdout.split() == ["False"]
 
 
 @pytest.fixture(scope="module")

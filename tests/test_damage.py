@@ -14,9 +14,11 @@ float, and a record's `sample_id` set to another sample's. Of the `base` and
 time. The spec is damaged by truncation and by each key deleted at every
 depth; a key of the free-form `pretrain_gen_overrides` map is optional, so
 deleting one must read as the spec without that override. Of dropped,
-duplicated or reordered entries, only a corpus's records are swept here, each
-refused by the line where a record is missing or one too many; transcripts
-are not swept here.
+duplicated or reordered entries, a corpus's records are swept here, each
+refused by the line where a record is missing or one too many. A key given
+twice in one object, first with another value, is refused by name in every
+file kind, transcripts included: at every depth of the spec and of both
+checkpoints, in a corpus's header and first record and in a transcript line.
 """
 
 import copy
@@ -25,7 +27,15 @@ from dataclasses import replace
 
 import pytest
 
-from voxmix.cli import default_spec, load_spec, save_spec
+from voxmix.cli import (
+    PRETRAINED_CELL,
+    _load_transcripts,
+    default_spec,
+    load_spec,
+    save_spec,
+    transcript_path,
+)
+from voxmix.evaluation import CONDITIONS
 from voxmix.model import (
     LoraSpec,
     ModelConfig,
@@ -96,6 +106,43 @@ def damaged(doc, more=()):
             yield f"{name} shape too long", _with(doc, path + ("shape",), [shape[0] + 1, *shape[1:]])
     for path, value in more:
         yield f"{'.'.join(path)} as {value!r}", _with(doc, path, value)
+
+
+def repeated(doc):
+    """(key, name, JSON text) of `doc` with that key, at any depth, given twice: first with a
+    value of another type, then with its own, so a reader that keeps the last copy reads `doc`."""
+    for path, value in _places(doc):
+        if isinstance(path[-1], str):
+            yield path[-1], f"repeated {'.'.join(map(str, path))}", _dumps(doc, path, _other_type(value))
+
+
+def _dumps(value, path, first, at=()):
+    """`value` as JSON text, its key at `path` preceded by one more copy holding `first`."""
+    if isinstance(value, dict):
+        items = [(json.dumps(k), _dumps(v, path, first, at + (k,))) for k, v in value.items()]
+        if at == path[:-1]:
+            items.insert(list(value).index(path[-1]), (json.dumps(path[-1]), json.dumps(first)))
+        return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_dumps(v, path, first, at + (i,)) for i, v in enumerate(value)) + "]"
+    return json.dumps(value)
+
+
+def refusals(cases, path, read):
+    """Write each (key, name, text) case to `path` and read it back; the cases not refused
+    as `<path>: repeated key '<key>'`, after the line number for a JSON-lines case."""
+    bad = []
+    for key, name, text in cases:
+        path.write_text(text)
+        line = name.partition(": ")[0] + ": " if name.startswith("line ") else ""
+        try:
+            read()
+        except Exception as err:  # any other exception is a failure, reported with its case
+            if not (isinstance(err, ValueError) and str(err) == f"{path}: {line}repeated key {key!r}"):
+                bad.append(f"{name}: {type(err).__name__}: {err}")
+            continue
+        bad.append(f"{name}: read without refusal")
+    return bad
 
 
 def truncated(text):
@@ -176,6 +223,15 @@ def test_every_damaged_adapters_checkpoint_is_refused_by_its_path_or_reads_the_s
     assert not bad, "\n".join(bad)
 
 
+@pytest.mark.parametrize("kind", ["full", "adapters"])
+def test_a_checkpoint_key_repeated_at_any_depth_is_refused_by_its_path(saved, kind):
+    base, base_path, cell_path, base_text, cell_text = saved
+    path, text = (base_path, base_text) if kind == "full" else (cell_path, cell_text)
+    bad = refusals(repeated(json.loads(text)), path, lambda: load_checkpoint(path, base=base))
+    path.write_text(text)
+    assert not bad, "\n".join(bad)
+
+
 @pytest.mark.parametrize("place, value", [(("a",), DELETE), (("b",), DELETE), ((), "5"), ((), 5), ((), []), ((), True)],
                          ids=["a deleted", "b deleted", "as '5'", "as 5", "as []", "as true"])
 def test_an_adapter_entry_without_its_arrays_is_refused_by_its_name(saved, place, value):
@@ -224,6 +280,17 @@ def test_every_damaged_corpus_is_refused_by_its_path_or_reads_the_same(tmp_path)
             cases.append((f"line {index + 1}: {name}", "".join(changed)))
     want = _corpus_state(load_corpus(path))
     bad = failures(cases, path, lambda: _corpus_state(load_corpus(path)), want)
+    assert not bad, "\n".join(bad)
+
+
+def test_a_corpus_key_repeated_in_its_header_or_a_record_is_refused_by_its_line(tmp_path):
+    path = tmp_path / "train.jsonl"
+    write_corpus(path, GenConfig(), build_corpus(GenConfig(), songs_per_language=1, seed_base=0))
+    lines = path.read_text().splitlines(keepends=True)
+    cases = [(key, f"line {index + 1}: {name}", "".join([*lines[:index], text + "\n", *lines[index + 1:]]))
+             for index in (0, 1) for key, name, text in repeated(json.loads(lines[index]))]
+    assert len(cases) > 20
+    bad = refusals(cases, path, lambda: load_corpus(path))
     assert not bad, "\n".join(bad)
 
 
@@ -294,4 +361,29 @@ def test_every_truncated_spec_or_one_missing_a_key_is_refused_by_its_path(tmp_pa
             continue
         if got != optional.get(name):
             bad.append(f"{name}: read without refusal")
+    assert not bad, "\n".join(bad)
+
+
+def test_a_spec_key_repeated_at_any_depth_is_refused_by_its_path(tmp_path):
+    path = tmp_path / "spec.json"
+    save_spec(default_spec(), path)
+    cases = list(repeated(json.loads(path.read_text())))
+    assert len(cases) > 50
+    bad = refusals(cases, path, lambda: load_spec(path))
+    assert not bad, "\n".join(bad)
+
+
+def test_a_transcript_key_repeated_in_a_line_is_refused_by_its_line(tmp_path):
+    refs = {"toyla-0-0": "ab cd", "toyla-0-1": "ef"}
+    for condition in CONDITIONS:
+        path = transcript_path(tmp_path, PRETRAINED_CELL, condition)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(json.dumps({"condition": condition, "sample_id": sid, "text": text}) + "\n"
+                                for sid, text in refs.items()))
+    path = transcript_path(tmp_path, PRETRAINED_CELL, CONDITIONS[0])  # the first file eval reads
+    first, second = path.read_text().splitlines(keepends=True)
+    assert _load_transcripts(tmp_path, PRETRAINED_CELL, refs)[("toyla-0-1", CONDITIONS[0])] == "ef"
+    cases = [(key, f"line 2: {name}", first + text + "\n") for key, name, text in repeated(json.loads(second))]
+    assert len(cases) == 3
+    bad = refusals(cases, path, lambda: _load_transcripts(tmp_path, PRETRAINED_CELL, refs))
     assert not bad, "\n".join(bad)

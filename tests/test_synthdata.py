@@ -132,6 +132,13 @@ def test_zero_gain_makes_mixture_equal_vocal():
         assert np.array_equal(s.x_m, s.x_v)
 
 
+def test_a_zero_gain_mixture_is_the_vocal_array_and_sample_arrays_are_read_only(cfg):
+    for s in generate_song(3, GenConfig(gain_range=(0.0, 0.0)), "toyla"):
+        assert s.x_m is s.x_v and not s.x_v.flags.writeable
+    for s in generate_song(3, cfg, "toyla"):
+        assert s.x_m is not s.x_v and not s.x_v.flags.writeable and not s.x_m.flags.writeable
+
+
 def test_positive_gain_separates_domains(cfg):
     s = generate_song(7, cfg, "toyla")[0]
     assert not np.array_equal(s.x_m, s.x_v)

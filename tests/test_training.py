@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 from dataclasses import replace
@@ -311,6 +312,27 @@ def test_train_step_updates_only_adapters(tiny_corpus):
     after = [ad.b.values for ad in model.adapters.values()]
     assert any(not np.array_equal(x, y) for x, y in zip(before, after))
     assert np.isfinite(row["l_total"])
+
+
+def test_train_step_frees_its_graph_before_adam(tiny_corpus, monkeypatch):
+    def nodes(held=()):
+        gc.collect()
+        ids = {id(t) for t in held}
+        return [t for t in gc.get_objects()
+                if isinstance(t, Tensor) and t._backward is not None and id(t) not in ids]
+
+    elsewhere = nodes()  # graphs another test left alive; held here, so none is mistaken for the step's
+    model, plan = build_model(ModelConfig(), seed=0), pretrain_plan(steps=5)
+    state = make_train_state(model, plan)
+    live = []
+
+    def adam(*args):
+        live.extend(map(repr, nodes(elsewhere)))
+        adam_step(*args)
+
+    monkeypatch.setattr(training, "adam_step", adam)
+    train_step(model, tiny_corpus[:4], plan, state)
+    assert state.step == 1 and not live, live[:5]
 
 
 def test_pad_batch_masks(tiny_corpus):
