@@ -61,7 +61,6 @@ from voxmix.synthdata import (
     VOCAB_SIZE,
     GenConfig,
     PairedSample,
-    build_corpus,
     detokenize,
     load_corpus,
     write_corpus,
@@ -247,9 +246,8 @@ def _split_gen(spec: ExperimentSpec, split: str) -> GenConfig:
 def cmd_gen_data(spec: ExperimentSpec, out: Path) -> None:
     (out / "corpora").mkdir(parents=True, exist_ok=True)
     for split in SPLITS:
-        cfg = _split_gen(spec, split)
-        samples = build_corpus(cfg, spec.corpus_songs[split], _split_seed_base(spec, split))
-        write_corpus(corpus_path(out, split), cfg, samples)
+        write_corpus(corpus_path(out, split), _split_gen(spec, split), spec.corpus_songs[split],
+                     _split_seed_base(spec, split))
 
 
 def cmd_pretrain(spec: ExperimentSpec, out: Path) -> None:

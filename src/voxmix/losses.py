@@ -69,8 +69,6 @@ def consistency_loss(e_v: Tensor, e_m: Tensor, kind: str, mask: np.ndarray) -> T
 
     diff = nm.sub(e_v, e_m)
     per_elem = nm.tensor_abs(diff) if kind == "L1" else nm.mul(diff, diff)
-    if mask.all():
-        return nm.scale(nm.tensor_sum(per_elem), 1.0 / n_valid)
     weights = Tensor(mask[..., None].astype(np.float64))
     return nm.scale(nm.tensor_sum(nm.mul(per_elem, weights)), 1.0 / n_valid)
 

@@ -5,20 +5,23 @@ a seeded toy word model are rendered to feature frames through a fixed
 per-character embedding table, and the mixture adds a gain-scaled rendering
 of a distractor character stream through a second table (structured
 "accompaniment" rather than white noise). Everything is a pure function of
-its seed, so corpora are stored as seeds + text and re-rendered on load.
+its seed, so a corpus file stores the arguments of the `build_corpus` call
+that made it, with one record of id, seed and text per segment, and is
+rebuilt from them on load.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from voxmix.files import atomic_write, parse_json, read_settings, refusing
 
-CORPUS_VERSION = 1  # format version of a corpus file's header
+CORPUS_VERSION = 2  # format version of a corpus file's header
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 PAD_ID = 0
@@ -124,6 +127,8 @@ class GenConfig:
             raise ValueError(f"need 0 <= g_lo <= g_hi, got {self.gain_range}")
         if self.frames_per_token < 1:
             raise ValueError("frames_per_token must be >= 1")
+        if len(set(self.languages)) < len(self.languages):
+            raise ValueError(f"languages must be distinct, got {self.languages}")
 
 
 @dataclass
@@ -139,10 +144,6 @@ class PairedSample:
     gain: float
     seed: int
     segment_index: int
-
-    @property
-    def duration_frames(self) -> int:
-        return self.x_v.shape[0]
 
 
 def _embed_table(seed: int, feature_dim: int) -> np.ndarray:
@@ -257,46 +258,47 @@ def _stretch_a_vowel(line: str, rng: np.random.Generator) -> str:
     return line[:pos] + line[pos] * (1 + extra) + line[pos + 1 :]
 
 
-def build_corpus(cfg: GenConfig, songs_per_language: int, seed_base: int) -> list[PairedSample]:
-    """Segments of `songs_per_language` songs per language tag.
+def build_corpus(
+    cfg: GenConfig, songs_per_language: int, seed_base: int
+) -> Iterator[PairedSample]:
+    """Segments of `songs_per_language` songs per language tag, rendered as they are drawn.
 
     Song seeds are seed_base + lang_index * 10_000 + i, so splits built from
     bases at least 10_000 * len(languages) apart never share a sample seed.
     """
-    samples = []
     for lang_idx, lang in enumerate(cfg.languages):
         tables = song_tables(cfg, lang)
         for i in range(songs_per_language):
-            samples.extend(generate_song(seed_base + lang_idx * 10_000 + i, cfg, lang, tables))
-    return samples
+            yield from generate_song(seed_base + lang_idx * 10_000 + i, cfg, lang, tables)
 
 
 # ---------------------------------------------------------------------------
-# corpus files: JSON-lines, features re-rendered from seeds on load
+# corpus files: a build's arguments and its records, rebuilt on load
 # ---------------------------------------------------------------------------
 
 
-def write_corpus(path, cfg: GenConfig, samples: list[PairedSample]) -> None:
+def _record(s: PairedSample) -> str:
+    return json.dumps({"language": s.language, "sample_id": s.sample_id, "seed": s.seed,
+                       "segment_index": s.segment_index, "text": s.text}, sort_keys=True)
+
+
+def write_corpus(path, cfg: GenConfig, songs_per_language: int, seed_base: int) -> None:
+    """Store `build_corpus(cfg, songs_per_language, seed_base)` as JSON lines: a header
+    holding the call's arguments, then one record of id, seed and text per segment."""
     with atomic_write(path) as fh:
-        header = {"kind": "voxmix-corpus", "version": CORPUS_VERSION, "gen": asdict(cfg)}
+        header = {"kind": "voxmix-corpus", "version": CORPUS_VERSION, "gen": asdict(cfg),
+                  "songs_per_language": songs_per_language, "seed_base": seed_base}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for s in samples:
-            record = {
-                "sample_id": s.sample_id,
-                "language": s.language,
-                "seed": s.seed,
-                "segment_index": s.segment_index,
-                "text": s.text,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for s in build_corpus(cfg, songs_per_language, seed_base):
+            fh.write(_record(s) + "\n")
 
 
 def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
-    """A corpus file's gen config and samples. A damaged file, one of another kind or
-    version, a record of a language the header lacks or that rebuilds another
-    `sample_id` or text, or a song's segments not all in order, once, as
-    `build_corpus` writes them, raises a ValueError naming the file and line
-    (`files.refusing`). Each line is decoded in its own frame."""
+    """A corpus file's gen config and samples, rebuilt from its header's build arguments a
+    segment at a time beside the records, so a damaged song count renders at most one song
+    beyond them. A damaged file, one of another kind or version, a record that differs from
+    the rebuilt one, one the build lacks, or a file that ends before the build does raises
+    a ValueError naming the file and line (`files.refusing`)."""
     with refusing(path, "corpus"), open(path, "rb") as fh:
         with refusing("line 1", "header"):
             header = parse_json(fh.readline().decode("utf-8"))
@@ -305,40 +307,21 @@ def load_corpus(path) -> tuple[GenConfig, list[PairedSample]]:
             if (version := read_settings(int, header["version"], "version")) != CORPUS_VERSION:
                 raise ValueError(f"corpus format version {version}, expected {CORPUS_VERSION}")
             cfg = read_settings(GenConfig, header["gen"], "gen")
-        tables = {lang: song_tables(cfg, lang) for lang in cfg.languages}
-        songs: dict[tuple[str, int], list[PairedSample]] = {}
-        samples = []
-        due, lineno = None, 1  # the (language, seed, segment_index) the next record must be
+            args = [read_settings(int, header[key], key) for key in ("songs_per_language", "seed_base")]
+            build = build_corpus(cfg, *args)
+        samples, lineno = [], 1
         for lineno, line in enumerate(fh, start=2):
             with refusing(f"line {lineno}", "record"):
-                rec = parse_json(line.decode("utf-8"))
-                lang = rec["language"]
-                if lang not in cfg.languages:
-                    raise ValueError(f"language {lang!r} is not in gen.languages {cfg.languages}")
-                seed = read_settings(int, rec["seed"], "seed")
-                index = read_settings(int, rec["segment_index"], "segment_index")
-                if due is None and index == 0 and (lang, seed) not in songs:
-                    songs[lang, seed] = generate_song(seed, cfg, lang, tables[lang])
-                elif (lang, seed, index) != due:
-                    raise ValueError(f"segment {index} of song {lang}-{seed} where {_due(due)} is due; "
-                                     f"a corpus holds every segment of each song, in order")
-                segments = songs[lang, seed]
-                sample = segments[index]
-                if (rec["sample_id"], rec["text"]) != (sample.sample_id, sample.text):
-                    raise ValueError(f"record {rec['sample_id']} does not regenerate: stored "
-                                     f"{rec['text']!r}, rebuilt {sample.sample_id} {sample.text!r}")
+                stored = line.decode("utf-8").rstrip("\n")
+                sample = next(build, None)
+                rebuilt = "nothing: the build has ended" if sample is None else _record(sample)
+                if stored != rebuilt:
+                    parse_json(stored)  # a line that does not parse is refused as malformed
+                    raise ValueError(f"stored record {stored}, rebuilt {rebuilt}")
                 samples.append(sample)
-                due = (lang, seed, index + 1) if index + 1 < len(segments) else None
-        if due is not None:
-            raise ValueError(f"line {lineno + 1}: the file ends where {_due(due)} is due")
+        if (sample := next(build, None)) is not None:
+            raise ValueError(f"line {lineno + 1}: the file ends where the build has {_record(sample)}")
     return cfg, samples
-
-
-def _due(due: tuple[str, int, int] | None) -> str:
-    if due is None:
-        return "segment 0 of a song not yet read"
-    lang, seed, index = due
-    return f"segment {index} of song {lang}-{seed}"
 
 
 def corpus_digest(samples: list[PairedSample]) -> str:

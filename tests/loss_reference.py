@@ -58,7 +58,7 @@ def per_parameter(params, flat):
 def _pad_pairs(samples):
     """Both domains of each sample, padded, with one mask and token layout."""
     bsz = len(samples)
-    t_max = max(s.duration_frames for s in samples)
+    t_max = max(s.x_v.shape[0] for s in samples)
     l_max = max(len(s.tokens) - 1 for s in samples)
     feat = samples[0].x_v.shape[1]
 
@@ -68,7 +68,7 @@ def _pad_pairs(samples):
     y_in = np.full((bsz, l_max), PAD_ID, dtype=np.int64)
     y_out = np.full((bsz, l_max), PAD_ID, dtype=np.int64)
     for i, s in enumerate(samples):
-        t = s.duration_frames
+        t = s.x_v.shape[0]
         x_v[i, :t] = s.x_v
         x_m[i, :t] = s.x_m
         frame_mask[i, :t] = True

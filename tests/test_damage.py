@@ -14,8 +14,9 @@ float, and a record's `sample_id` set to another sample's. Of the `base` and
 time. The spec is damaged by truncation and by each key deleted at every
 depth; a key of the free-form `pretrain_gen_overrides` map is optional, so
 deleting one must read as the spec without that override. Of dropped,
-duplicated or reordered entries, a corpus's records are swept here, each
-refused by the line where a record is missing or one too many. A key given
+duplicated or reordered entries, a corpus's records and whole songs are swept
+here, each refused by the line where a record is missing or one too many, as
+is a header that counts more songs than the file holds. A key given
 twice in one object, first with another value, is refused by name in every
 file kind, transcripts included: at every depth of the spec and of both
 checkpoints, in a corpus's header and first record and in a transcript line.
@@ -45,7 +46,8 @@ from voxmix.model import (
     save_checkpoint,
     share_base,
 )
-from voxmix.synthdata import GenConfig, build_corpus, load_corpus, write_corpus
+from voxmix import synthdata
+from voxmix.synthdata import GenConfig, generate_song, load_corpus, write_corpus
 
 # a small model keeps each of the few hundred loads short
 CONFIG = ModelConfig(feature_dim=4, hidden_dim=8, num_heads=2, encoder_layers=1, decoder_layers=1,
@@ -266,7 +268,7 @@ def _corpus_state(loaded):
 
 def test_every_damaged_corpus_is_refused_by_its_path_or_reads_the_same(tmp_path):
     path = tmp_path / "train.jsonl"
-    write_corpus(path, GenConfig(), build_corpus(GenConfig(), songs_per_language=1, seed_base=0))
+    write_corpus(path, GenConfig(), songs_per_language=1, seed_base=0)
     text = path.read_text()
     lines = text.splitlines(keepends=True)
     assert len(lines) >= 3
@@ -285,7 +287,7 @@ def test_every_damaged_corpus_is_refused_by_its_path_or_reads_the_same(tmp_path)
 
 def test_a_corpus_key_repeated_in_its_header_or_a_record_is_refused_by_its_line(tmp_path):
     path = tmp_path / "train.jsonl"
-    write_corpus(path, GenConfig(), build_corpus(GenConfig(), songs_per_language=1, seed_base=0))
+    write_corpus(path, GenConfig(), songs_per_language=1, seed_base=0)
     lines = path.read_text().splitlines(keepends=True)
     cases = [(key, f"line {index + 1}: {name}", "".join([*lines[:index], text + "\n", *lines[index + 1:]]))
              for index in (0, 1) for key, name, text in repeated(json.loads(lines[index]))]
@@ -296,7 +298,7 @@ def test_a_corpus_key_repeated_in_its_header_or_a_record_is_refused_by_its_line(
 
 def test_a_corpus_record_dropped_duplicated_or_swapped_is_refused_by_its_line(tmp_path):
     path = tmp_path / "train.jsonl"
-    write_corpus(path, GenConfig(), build_corpus(GenConfig(), songs_per_language=1, seed_base=0))
+    write_corpus(path, GenConfig(), songs_per_language=1, seed_base=0)
     header, *records = path.read_text().splitlines(keepends=True)
     songs = [json.loads(r)["seed"] for r in records]
     assert len(set(songs)) == 2 and all(songs.count(seed) >= 2 for seed in songs)
@@ -307,6 +309,9 @@ def test_a_corpus_record_dropped_duplicated_or_swapped_is_refused_by_its_line(tm
         if i + 1 < len(records):
             swapped = records[:i] + [records[i + 1], records[i]] + records[i + 2:]
             cases.append((f"records {i + 1} and {i + 2} swapped", swapped, i + 2))
+    for seed in dict.fromkeys(songs):  # a whole song dropped, refused where its first record was due
+        kept = [r for r, s in zip(records, songs) if s != seed]
+        cases.append((f"song {seed} dropped", kept, songs.index(seed) + 2))
     bad = []
     for name, changed, line in cases:
         path.write_text(header + "".join(changed))
@@ -320,9 +325,28 @@ def test_a_corpus_record_dropped_duplicated_or_swapped_is_refused_by_its_line(tm
     assert not bad, "\n".join(bad)
 
 
+def test_a_corpus_header_with_a_song_count_beyond_its_records_is_refused_after_the_last(
+        tmp_path, monkeypatch):
+    path = tmp_path / "train.jsonl"
+    write_corpus(path, GenConfig(languages=["toyla"]), songs_per_language=1, seed_base=0)
+    header, *records = path.read_text().splitlines(keepends=True)
+    path.write_text(json.dumps({**json.loads(header), "songs_per_language": 10**9}) + "\n" + "".join(records))
+    rendered = []
+
+    def counted(seed, *args):
+        rendered.append(seed)
+        return generate_song(seed, *args)
+
+    monkeypatch.setattr(synthdata, "generate_song", counted)
+    with pytest.raises(ValueError) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}: line {len(records) + 2}: the file ends where the build has ")
+    assert rendered == [0, 1]  # the file's one song, then the first the file lacks
+
+
 def test_a_corpus_byte_that_is_not_utf8_is_refused_by_its_line(tmp_path):
     path = tmp_path / "train.jsonl"
-    write_corpus(path, GenConfig(), build_corpus(GenConfig(), songs_per_language=1, seed_base=0))
+    write_corpus(path, GenConfig(), songs_per_language=1, seed_base=0)
     lines = path.read_bytes().splitlines(keepends=True)
     lines[2] = lines[2].replace(b'"text": "', b'"text": "\xff', 1)
     path.write_bytes(b"".join(lines))

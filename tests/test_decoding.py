@@ -46,7 +46,7 @@ def clean_cfg():
 def trained(clean_cfg, tmp_path_factory):
     """Pretrained then voc-finetuned model on the zero-interference distribution."""
     tmp = tmp_path_factory.mktemp("trained")
-    corpus = build_corpus(clean_cfg, songs_per_language=64, seed_base=0)
+    corpus = list(build_corpus(clean_cfg, songs_per_language=64, seed_base=0))
     model = build_model(ModelConfig(), seed=0)
     run_experiment(
         TrainPlan(LossConfig(strategy="voc"),
@@ -148,7 +148,7 @@ def test_decoding_does_not_mutate_model(trained, clean_cfg, cfg):
     adapters_before = {k: (ad.a.values.copy(), ad.b.values.copy()) for k, ad in trained.adapters.items()}
     s = generate_song(90_060, clean_cfg, "toyla")[0]
     transcribe_batch(trained, [s.x_m], cfg)[0]
-    transcribe_batch(trained, [s.x_v, s.x_m, s.x_v[: s.duration_frames // 2]], cfg)
+    transcribe_batch(trained, [s.x_v, s.x_m, s.x_v[: s.x_v.shape[0] // 2]], cfg)
     assert base_digest(trained) == digest
     for k, (a, b) in adapters_before.items():
         assert np.array_equal(trained.adapters[k].a.values, a)
@@ -240,7 +240,7 @@ def test_transcribe_batch_equals_the_full_recompute_greedy_loop(trained, clean_c
     if which == "trained":
         model, cfg = trained, DecodeConfig(max_tokens=24)
         samples = [generate_song(seed, clean_cfg, "toyla")[0] for seed in range(90_140, 90_150)]
-        windows = [s.x_v for s in samples] + [s.x_m[: s.duration_frames // 2] for s in samples]
+        windows = [s.x_v for s in samples] + [s.x_m[: s.x_v.shape[0] // 2] for s in samples]
     else:  # an untrained model runs on to the longest prefix the model takes
         model, cfg = adapted_with_nonzero_b(seed=31), DecodeConfig(max_tokens=48)
         windows = random_windows(model, [64, 5, 33, 48, 17], seed=5)
@@ -355,7 +355,7 @@ def test_a_batch_where_all_rows_but_one_stop_at_the_first_step(monkeypatch):
 def test_a_row_cut_at_max_tokens_leaves_with_the_rows_that_finished(trained, monkeypatch):
     samples = [generate_song(seed, GenConfig(), "toyla")[0] for seed in range(90_220, 90_226)]
     # halved windows end sooner, so that rows finish before the longest is cut
-    windows = [s.x_v for s in samples] + [s.x_m[: s.duration_frames // 2] for s in samples]
+    windows = [s.x_v for s in samples] + [s.x_m[: s.x_v.shape[0] // 2] for s in samples]
     lengths = [len(row) for row in transcribe_batch(trained, windows, DecodeConfig(max_tokens=24))]
     cap = max(lengths) - 1  # the longest rows are cut one token short of their EOS
     assert min(lengths) < cap
@@ -460,3 +460,23 @@ def test_repeated_batch_decode_reuses_resident_memory():
     assert done.returncode == 0, done.stderr
     first, *later = json.loads(done.stdout)
     assert first > 0 and max(later) < 100, (first, later)
+
+
+def test_a_second_batch_decode_allocates_nothing_beyond_the_first_calls_peak():
+    # the reuse above in traced bytes, which do not depend on the heap's layout: a
+    # second decode of the same windows peaks where the first did, so nothing the
+    # first call left live is stacked under the second one's arrays
+    model = build_model(ModelConfig(), seed=0)
+    rng = np.random.default_rng(0)
+    windows = [rng.standard_normal((64, 16)) for _ in range(65)]
+    tracemalloc.start()
+    try:
+        peaks = []
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            transcribe_batch(model, windows, DecodeConfig(max_tokens=4))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    first, second = peaks
+    assert first > 2**23 and second - first < 2**16, (first, second)

@@ -152,7 +152,7 @@ def test_sample_shapes_and_tokens(cfg):
         assert s.x_v.shape == (len(s.text) * cfg.frames_per_token, cfg.feature_dim)
         assert s.tokens[0] == BOS_ID and s.tokens[-1] == EOS_ID
         assert detokenize(s.tokens) == s.text
-        assert s.duration_frames <= cfg.segment_max_frames
+        assert s.x_v.shape[0] <= cfg.segment_max_frames
 
 
 def test_token_count_within_bounds_for_1000_seeds(cfg):
@@ -179,6 +179,8 @@ def test_config_validation():
         GenConfig(gain_range=(2.0, 1.0))
     with pytest.raises(ValueError, match="jitter"):
         GenConfig(jitter=-0.1)
+    with pytest.raises(ValueError, match="languages must be distinct"):
+        GenConfig(languages=["toyla", "toyla"])
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +189,15 @@ def test_config_validation():
 
 
 def test_corpus_round_trip_and_digest(cfg, tmp_path):
-    samples = build_corpus(cfg, songs_per_language=3, seed_base=0)
+    samples = list(build_corpus(cfg, songs_per_language=3, seed_base=0))
     path = tmp_path / "train.jsonl"
-    write_corpus(path, cfg, samples)
+    write_corpus(path, cfg, songs_per_language=3, seed_base=0)
     loaded_cfg, loaded = load_corpus(path)
     assert loaded_cfg == cfg
     assert corpus_digest(loaded) == corpus_digest(samples)
     assert [s.sample_id for s in loaded] == [s.sample_id for s in samples]
 
-    write_corpus(tmp_path / "again.jsonl", cfg, samples)
+    write_corpus(tmp_path / "again.jsonl", cfg, songs_per_language=3, seed_base=0)
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
@@ -238,8 +240,8 @@ def _changed_text(lines):
     lines[2] = json.dumps({**record, "text": record["text"] + "a"}, sort_keys=True)
 
 
-def _version_2(lines):
-    lines[0] = lines[0].replace('"version": 1', '"version": 2')
+def _version_3(lines):
+    lines[0] = lines[0].replace('"version": 2', '"version": 3')
 
 
 def _unknown_gen_field(lines):
@@ -259,26 +261,33 @@ def _set(index, key, value):
     return damage
 
 
+# the record line 3 of a 2-song corpus holds, as rebuilt
+LINE_3 = r'\{"language": "toyla", "sample_id": "toyla-0-1", "seed": 0, "segment_index": 1, "text": "[a-z ]+"\}'
+
+
 @pytest.mark.parametrize("damage, message", [
     (_damage_record, r": line 4: malformed record \(JSONDecodeError: "),
-    (_changed_text, r": line 3: record toyla-0-\d+ does not regenerate: stored '"),
-    (_version_2, r": corpus format version 2, expected 1$"),
+    (_changed_text, r': line 3: stored record \{.*"text": "[a-z ]+a"\}, rebuilt ' + LINE_3 + "$"),
+    (_version_3, r": line 1: corpus format version 3, expected 2$"),
     (_unknown_gen_field, r": line 1: malformed header \(TypeError: unknown fields in gen: \['tempo'\]\)$"),
     (_set(0, "gen.languages", "ab"),
      r": line 1: malformed header \(TypeError: gen.languages must be a list, got 'ab'\)$"),
+    (_set(0, "gen.languages", ["toyla", "toybe", "toyla"]),
+     r": line 1: gen: languages must be distinct, got \['toyla', 'toybe', 'toyla'\]$"),
     (_set(0, "gen.jitter", -1.0), r": line 1: gen: jitter must be >= 0, got -1.0$"),
-    (_set(2, "seed", "x"), r": line 3: malformed record \(TypeError: seed must be int, got 'x'\)$"),
-    (_set(2, "language", True), r": line 3: language True is not in gen.languages \['toyla', 'toybe'\]$"),
-    (_set(2, "language", "toyce"), r": line 3: language 'toyce' is not in gen.languages \['toyla', 'toybe'\]$"),
+    (_set(2, "seed", "x"), r': line 3: stored record \{.*"seed": "x", .*\}, rebuilt ' + LINE_3 + "$"),
+    (_set(2, "language", True), r': line 3: stored record \{"language": true, .*\}, rebuilt ' + LINE_3 + "$"),
+    (_set(2, "language", "toyce"),
+     r': line 3: stored record \{"language": "toyce", .*\}, rebuilt ' + LINE_3 + "$"),
     (_set(0, "version", True), r": line 1: malformed header \(TypeError: version must be int, got True\)$"),
     (_set(2, "sample_id", "toyla-0-9"),
-     r": line 3: record toyla-0-9 does not regenerate: stored '[a-z ]+', rebuilt toyla-0-\d+ '[a-z ]+'$"),
-], ids=["damaged_record", "changed_text", "version_2", "unknown_gen_field", "languages_as_text",
-        "jitter_negative", "seed_as_text", "language_as_bool", "language_unknown", "version_as_bool",
-        "sample_id_changed"])
+     r': line 3: stored record \{.*"sample_id": "toyla-0-9", .*\}, rebuilt ' + LINE_3 + "$"),
+], ids=["damaged_record", "changed_text", "version_3", "unknown_gen_field", "languages_as_text",
+        "language_twice", "jitter_negative", "seed_as_text", "language_as_bool", "language_unknown",
+        "version_as_bool", "sample_id_changed"])
 def test_load_refuses_a_damaged_corpus_naming_the_file(cfg, tmp_path, damage, message):
     path = tmp_path / "train.jsonl"
-    write_corpus(path, cfg, build_corpus(cfg, songs_per_language=2, seed_base=0))
+    write_corpus(path, cfg, songs_per_language=2, seed_base=0)
     lines = path.read_text().splitlines()
     damage(lines)
     path.write_text("\n".join(lines) + "\n")

@@ -220,8 +220,8 @@ def test_select_random_is_reproducible_fair_coin():
 def test_random_rng_consumption_independent_of_content(gen_cfg):
     # same seed, two different corpora of equal size: a random-strategy step
     # leaves the domain coin in the same state
-    a = build_corpus(gen_cfg, songs_per_language=4, seed_base=0)
-    b = build_corpus(gen_cfg, songs_per_language=4, seed_base=5000)
+    a = list(build_corpus(gen_cfg, songs_per_language=4, seed_base=0))
+    b = list(build_corpus(gen_cfg, songs_per_language=4, seed_base=5000))
     plan = finetune_plan("random")
     states = []
     for corpus in (a, b):
@@ -239,7 +239,7 @@ def test_random_rng_consumption_independent_of_content(gen_cfg):
 
 @pytest.fixture(scope="module")
 def tiny_corpus(gen_cfg):
-    return build_corpus(gen_cfg, songs_per_language=6, seed_base=0)
+    return list(build_corpus(gen_cfg, songs_per_language=6, seed_base=0))
 
 
 def finetune_plan(strategy, steps=10, cns_kind="L2", weight=1.0):
@@ -275,7 +275,7 @@ def test_train_step_cns_breakdown_satisfies_combination_exactly(tiny_corpus):
 
 def test_train_step_both_with_zero_interference_degenerates(gen_cfg):
     cfg = replace(gen_cfg, gain_range=(0.0, 0.0))
-    corpus = build_corpus(cfg, songs_per_language=2, seed_base=0)
+    corpus = list(build_corpus(cfg, songs_per_language=2, seed_base=0))
     model = adapted(dropout=0.0)  # no dropout so the two passes are identical
     plan = finetune_plan("both")
     state = make_train_state(model, plan)
@@ -341,7 +341,7 @@ def test_pad_batch_masks(tiny_corpus):
     x, frame_mask, y_in, y_out = pad_batch(rows)
     assert x.shape[0] == len(rows)
     for i, (s, domain) in enumerate(rows):
-        t = s.duration_frames
+        t = s.x_v.shape[0]
         assert np.array_equal(x[i, :t], s.x_v if domain == "v" else s.x_m)
         assert not x[i, t:].any()
         assert frame_mask[i, :t].all() and not frame_mask[i, t:].any()
@@ -544,7 +544,7 @@ def test_finetune_loss_drops_at_desk_scale(gen_cfg, tiny_corpus, tmp_path):
     # pretrain on the clean distribution, then 200 fine-tune steps on the
     # shifted one cut the training loss by at least 30% from its start
     clean_cfg = replace(gen_cfg, jitter=0.1, gain_range=(0.0, 0.0))
-    clean = build_corpus(clean_cfg, songs_per_language=6, seed_base=20_000)
+    clean = list(build_corpus(clean_cfg, songs_per_language=6, seed_base=20_000))
     model = build_model(ModelConfig(), seed=4)
     run_experiment(pretrain_plan(200, batch_size=8, seed=1), clean, model, tmp_path / "pre.jsonl")
     attach_adapters(model, LoraSpec(), seed=2)
