@@ -12,8 +12,9 @@ setting that would fail later stops a command before it writes anything.
 Every refusal of `load_spec` is a ValueError that starts with the file's path
 (see files.refusing), then names the field and states the rule, as in
 `<path>: pretrain: total_steps must be >= 2, got 1`.
-Each phase trains on `TrainPlan(loss, plan)`; the model's adapters, if any,
-say what trains.
+Each phase trains on `TrainPlan(loss, plan)`; the model says what trains, as
+`model.attach_adapters` freezes the base. The pretrain split renders the spec's
+gen with `PRETRAIN_GEN`, which its corpus header records in full.
 
 An output directory holds corpora/<split>.jsonl, checkpoints/pretrain.json
 (the full pretrained model) with its metrics log, one cells/<id>_s<seed>/
@@ -69,6 +70,8 @@ from voxmix.training import PhasePlanSpec, TrainPlan, run_experiment
 
 SPLITS = ("pretrain", "train", "dev", "test")
 PRETRAINED_CELL = "pretrained"
+# the pretrain split's recipe over the spec's gen: less jitter, and a mixture that is its vocal
+PRETRAIN_GEN = {"jitter": 0.25, "gain_range": (0.0, 0.0)}
 
 
 @dataclass
@@ -82,7 +85,6 @@ class ExperimentSpec:
     out_dir: str
     seeds: list[int]
     gen: GenConfig
-    pretrain_gen_overrides: dict
     corpus_songs: dict[str, int]
     model: ModelConfig
     lora: LoraSpec
@@ -158,7 +160,6 @@ def default_spec(out_dir: str = "runs/default") -> ExperimentSpec:
         out_dir=out_dir,
         seeds=[0, 1, 2, 3, 4],
         gen=GenConfig(),
-        pretrain_gen_overrides={"jitter": 0.25, "gain_range": [0.0, 0.0]},
         corpus_songs={"pretrain": 64, "train": 64, "dev": 8, "test": 12},
         model=ModelConfig(),
         lora=LoraSpec(),
@@ -232,10 +233,7 @@ def _split_seed_base(spec: ExperimentSpec, split: str) -> int:
 
 
 def _split_gen(spec: ExperimentSpec, split: str) -> GenConfig:
-    if split == "pretrain":  # the overrides are checked as the fields of a GenConfig
-        merged = {**asdict(spec.gen), **spec.pretrain_gen_overrides}
-        return read_settings(GenConfig, merged, "pretrain_gen_overrides")
-    return spec.gen
+    return replace(spec.gen, **PRETRAIN_GEN) if split == "pretrain" else spec.gen
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Pre-LN transformer blocks at desk scale: an input projection plus
 sinusoidal positions feed self-attention encoder blocks; the decoder uses
 causal self-attention and cross-attention over the encoder output. LoRA
 adapters attach to the `ADAPTED` projections (query and value) of every
-attention and, once attached, are the model's only trainable weights; each
-holds its A and B, and `model.lora` their one `LoraSpec`. With all adapter
-B matrices at zero the forward pass is bit-identical.
+attention; `attach_adapters` freezes the base, so they are the only trainable
+weights. Each holds its A and B, and `model.lora` their one `LoraSpec`. With
+all adapter B matrices at zero the forward pass is bit-identical.
 
 The forward pass has two entry points, `encode_batch` and `decode_batch`.
 Both take padded arrays with validity masks, as `pad_frames` lays them
@@ -216,12 +216,14 @@ def attach_adapters(model: TranscriberModel, lora: LoraSpec, seed: int) -> None:
     """Attach adapters to the ADAPTED projections of every attention; `lora` becomes `model.lora`.
 
     A is small Gaussian, B starts at zero so the adapted model is initially
-    a no-op over the base model.
+    a no-op over the base model; every base weight stops requiring a gradient.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6C6F7261]))
     h = model.config.hidden_dim
     a_std = 1.0 / math.sqrt(h)
     model.lora = lora
+    for p in model.params.values():
+        p.requires_grad = False
     for name in model.adapted_projections():
         model.adapters[name] = LoraAdapter(
             a=Tensor(rng.normal(0.0, a_std, size=(lora.rank, h)), requires_grad=True),
@@ -366,22 +368,6 @@ def trainable_parameters(model: TranscriberModel) -> list[Tensor]:
     if model.adapters:
         return [t for _, ad in sorted(model.adapters.items()) for t in (ad.a, ad.b)]
     return [model.params[name] for name in sorted(model.params)]
-
-
-def set_trainable(model: TranscriberModel) -> list[Tensor]:
-    """Freeze everything except the model's trainable parameters; returns them.
-
-    The requires_grad flag doubles as the per-parameter frozen marker, so
-    backward skips gradient work for the frozen side entirely.
-    """
-    live = trainable_parameters(model)
-    live_ids = {id(p) for p in live}
-    for p in model.params.values():
-        p.requires_grad = id(p) in live_ids
-    for ad in model.adapters.values():
-        ad.a.requires_grad = id(ad.a) in live_ids
-        ad.b.requires_grad = id(ad.b) in live_ids
-    return live
 
 
 def base_digest(model: TranscriberModel) -> str:

@@ -9,11 +9,11 @@ vocal rows first, and the strategy combines the per-domain losses: the
 single loss for voc and mix, token weighting for random when a batch holds
 both domains, and the mean of the two for both and cns, with cns adding
 the weighted encoder-consistency term. One backward pass per step, then
-one Adam update of the model's trainable parameters (its adapters, if
-any), whose moments `m` and `v` are two flat float64 arrays over every
-parameter's values in `params` order; a resume file would store those two
-arrays. The step's graph is released before Adam runs, and Adam's
-temporaries are the flat gradient and one scratch array. The loop is
+one Adam update of `model.trainable_parameters` (its adapters, if any,
+over the base they froze), whose moments `m` and `v` are two flat float64
+arrays over every parameter's values in `params` order; a resume file would
+store those two arrays. The step's graph is released before Adam runs, and
+Adam's temporaries are the flat gradient and one scratch array. The loop is
 `next_batch` then `train_step` over one `TrainState`, the run's whole
 position; `train_step` returns the row `run_experiment` logs: `step`, `lr`,
 `l_v`, `l_m`, `l_cns` (None for an absent term) and `l_total`.
@@ -32,7 +32,7 @@ from voxmix import numerics as nm
 from voxmix.files import atomic_write
 from voxmix.losses import LossConfig, alt_loss, consistency_loss
 from voxmix.model import TranscriberModel, decode_batch, encode_batch, pad_frames
-from voxmix.model import base_reference, save_checkpoint, set_trainable
+from voxmix.model import base_reference, save_checkpoint, trainable_parameters
 from voxmix.numerics import Tensor, backward, zero_grads
 from voxmix.synthdata import PAD_ID, PairedSample
 
@@ -193,7 +193,10 @@ class TrainState:
 
 
 def make_train_state(model: TranscriberModel, plan: TrainPlan) -> TrainState:
-    params = set_trainable(model)
+    params = trainable_parameters(model)
+    if not all(p.requires_grad for p in params):
+        raise ValueError("the model's trainable tensors do not all need a gradient: without adapters "
+                         "it trains its base weights, which a shared base (model.share_base) freezes")
     size = sum(p.values.size for p in params)
     seqs = np.random.SeedSequence(plan.settings.seed).spawn(3)
     return TrainState(

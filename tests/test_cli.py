@@ -46,7 +46,6 @@ def micro_spec(out_dir: str) -> ExperimentSpec:
         out_dir=out_dir,
         seeds=[0, 1],
         gen=GenConfig(),
-        pretrain_gen_overrides={"jitter": 0.25, "gain_range": [0.0, 0.0]},
         corpus_songs={"pretrain": 10, "train": 10, "dev": 2, "test": 4},
         model=ModelConfig(),
         lora=LoraSpec(),
@@ -180,13 +179,14 @@ CORPUS_MISFITS = [
     ({"gen": {"segment_max_frames": 90}},
      "pretrain corpus: gen.segment_max_frames 90 makes segments of up to 87 frames, "
      "over model.max_audio_frames 64"),
-    ({"pretrain_gen_overrides": {"segment_max_frames": 90}},
-     "pretrain corpus: gen.segment_max_frames 90 makes segments of up to 87 frames"),
+    ({"model": {"max_audio_frames": 20}},
+     "pretrain corpus: gen.segment_max_frames 24 makes segments of up to 21 frames, "
+     "over model.max_audio_frames 20"),
     ({"model": {"max_token_len": 7}},
      "pretrain corpus: gen.segment_max_frames 24 makes segments of up to 8 decoder-input "
      "tokens, over model.max_token_len 7"),
-    ({"pretrain_gen_overrides": {"gain": 0.0}},
-     r"unknown fields in pretrain_gen_overrides: \['gain'\]"),
+    ({"gen": {"gain": 0.0}},
+     r"unknown fields in gen: \['gain'\]"),
     ({"decode": {"max_tokens": 50}},
      "decode.max_tokens 50 feeds the decoder 49 positions, over model.max_token_len 48"),
     ({"model": {"vocab_size": 10}},
@@ -255,19 +255,13 @@ def _strategy_as_text(doc):
     doc["strategies"][0] = "voc"
 
 
-def _override_as_text(doc):
-    doc["pretrain_gen_overrides"]["jitter"] = "0.25"
-
-
 @pytest.mark.parametrize("damage, cause", [
     (None, "JSONDecodeError: "),
     (_drop_decode, "TypeError: missing fields in ExperimentSpec: ['decode'])"),
     (_drop_a_strategy_id, "TypeError: missing fields in strategies[0]: ['cell_id'])"),
     (_hidden_dim_as_text, "TypeError: model.hidden_dim must be int, got '32'"),
     (_strategy_as_text, "TypeError: strategies[0] must be an object, got 'voc')"),
-    (_override_as_text, "TypeError: pretrain_gen_overrides.jitter must be float, got '0.25')"),
-], ids=["truncated", "no_decode", "strategy_without_id", "hidden_dim_as_text", "strategy_as_text",
-        "override_as_text"])
+], ids=["truncated", "no_decode", "strategy_without_id", "hidden_dim_as_text", "strategy_as_text"])
 def test_malformed_spec_names_the_file_and_the_cause(tmp_path, damage, cause):
     doc = asdict(micro_spec(str(tmp_path / "out")))
     text = json.dumps(doc)
@@ -301,7 +295,6 @@ SPEC_FIELDS = [
     "out_dir",
     "pretrain.batch_size", "pretrain.peak_lr", "pretrain.seed", "pretrain.total_steps",
     "pretrain.warmup_frac",
-    "pretrain_gen_overrides.gain_range", "pretrain_gen_overrides.jitter",
     "seeds",
     "strategies.*.cell_id", "strategies.*.loss.cns_kind", "strategies.*.loss.strategy",
     "strategies.*.loss.weight",

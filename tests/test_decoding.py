@@ -23,7 +23,7 @@ from voxmix.model import (
     decode_batch,
     encode_batch,
     pad_frames,
-    set_trainable,
+    share_base,
 )
 from voxmix.synthdata import (
     BOS_ID,
@@ -250,6 +250,8 @@ def test_transcribe_batch_equals_the_full_recompute_greedy_loop(trained, clean_c
 def test_gradients_through_a_cached_decode_match_the_full_decode():
     # recording on: the cached keys and values must carry gradient into later steps
     model = adapted_with_nonzero_b(seed=41)
+    for p in model.params.values():  # attaching the adapters froze the base; compare its gradients too
+        p.requires_grad = True
     feats, mask = pad_frames(random_windows(model, [16, 9], seed=6))
     y = token_prefixes(model, 2, 2, seed=7)
     weights = np.random.default_rng(8).standard_normal((2, 2, model.config.vocab_size))
@@ -391,12 +393,13 @@ def test_decode_logits_without_graph_equal_recorded_logits(trained, clean_cfg):
 
 @pytest.mark.parametrize("phase", [None, "pretrain", "finetune"])
 def test_transcribe_batch_leaves_requires_grad_flags_as_they_were(clean_cfg, cfg, phase):
-    # pretrain: a plain model trains its base weights; otherwise it has adapters
+    # pretrain: a plain model, whose base weights train; finetune: adapters over the
+    # base they froze; None: a shared base without adapters, which nothing trains
     model = build_model(ModelConfig(), seed=7)
-    if phase != "pretrain":
+    if phase is None:
+        model = share_base(model)
+    elif phase == "finetune":
         attach_adapters(model, LoraSpec(), seed=8)
-    if phase is not None:
-        set_trainable(model)
 
     def flags():
         adapters = (getattr(ad, f) for ad in model.adapters.values() for f in ("a", "b"))

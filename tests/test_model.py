@@ -23,7 +23,6 @@ from voxmix.model import (
     load_checkpoint,
     save_checkpoint,
     share_base,
-    set_trainable,
     trainable_parameters,
 )
 from voxmix.numerics import Tensor, backward, zero_grads
@@ -263,8 +262,8 @@ def test_trainable_parameter_counts(base_model, adapted_model, config):
     h = config.hidden_dim
     n_attentions = config.encoder_layers + 2 * config.decoder_layers
     expected = n_attentions * 2 * 4 * (h + h)  # rank * (d_in + d_out) per adapted matrix
-    # an adapted model trains exactly its adapters
-    finetune = set_trainable(adapted_model)
+    # an adapted model trains exactly its adapters: attaching them froze the base
+    finetune = trainable_parameters(adapted_model)
     adapters = [t for ad in adapted_model.adapters.values() for t in (ad.a, ad.b)]
     assert sorted(map(id, finetune)) == sorted(map(id, adapters))
     assert sum(p.values.size for p in finetune) == expected
@@ -272,7 +271,7 @@ def test_trainable_parameter_counts(base_model, adapted_model, config):
     assert not any(p.requires_grad for p in adapted_model.params.values())
 
     # a plain model trains every base weight
-    pretrain = set_trainable(base_model)
+    pretrain = trainable_parameters(base_model)
     assert list(map(id, pretrain)) == [id(base_model.params[name]) for name in sorted(base_model.params)]
     assert all(p.requires_grad for p in pretrain)
 

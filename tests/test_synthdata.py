@@ -1,10 +1,10 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from voxmix.files import read_settings
+from voxmix.cli import PRETRAIN_GEN
 from voxmix.synthdata import (
     BOS_ID,
     EOS_ID,
@@ -213,15 +213,17 @@ def test_split_seed_ranges_are_disjoint(cfg):
     assert not ({s.seed for s in train} & {s.seed for s in test})
 
 
-def test_split_config_overrides(cfg):
-    # a spec's pretrain overrides arrive from JSON, with lists for tuples, and
-    # are read over the spec's gen as one GenConfig
-    overrides = {"jitter": 0.1, "gain_range": [0.0, 0.0]}
-    pre = read_settings(GenConfig, {**asdict(cfg), **overrides}, "pretrain_gen_overrides")
-    assert pre.jitter == 0.1
-    assert pre.gain_range == (0.0, 0.0)
-    assert pre.languages == cfg.languages
-    assert generate_song(3, pre, "toyla")[0].gain == 0.0
+def test_split_config_overrides(cfg, tmp_path):
+    # the pretrain split renders the spec's gen with PRETRAIN_GEN over it; its
+    # corpus header records the whole recipe, and each mixture is its vocal
+    pre = replace(cfg, **PRETRAIN_GEN)
+    path = tmp_path / "pretrain.jsonl"
+    write_corpus(path, pre, songs_per_language=1, seed_base=0)
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["gen"] == json.loads(json.dumps({**asdict(cfg), "jitter": 0.25, "gain_range": [0.0, 0.0]}))
+    loaded_cfg, samples = load_corpus(path)
+    assert loaded_cfg == pre
+    assert all(s.gain == 0.0 and s.x_m is s.x_v for s in samples)
 
 
 def test_load_rejects_foreign_file(tmp_path):

@@ -533,11 +533,12 @@ def test_write_to_shared_base_during_finetune_raises(tiny_corpus, tmp_path):
     run_experiment(finetune_plan("cns", steps=3), tiny_corpus, model, tmp_path / "ft.jsonl")
     assert base_digest(base) == digest
 
-    # without adapters the model trains every base weight, which would write
-    # into the shared arrays
-    with pytest.raises(ValueError, match="read-only"):
+    # without adapters the model would train every base weight, which the shared
+    # base holds frozen: refused before step 1, with nothing written
+    with pytest.raises(ValueError, match="trainable tensors do not all need a gradient"):
         run_experiment(pretrain_plan(3), tiny_corpus, share_base(base), tmp_path / "pre.jsonl")
     assert base_digest(base) == digest
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base.json", "ft.jsonl"]
 
 
 def test_finetune_loss_drops_at_desk_scale(gen_cfg, tiny_corpus, tmp_path):
