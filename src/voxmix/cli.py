@@ -59,6 +59,7 @@ from voxmix.model import (
     share_base,
 )
 from voxmix.synthdata import (
+    SONG_SLOTS,
     VOCAB_SIZE,
     GenConfig,
     PairedSample,
@@ -112,8 +113,9 @@ class ExperimentSpec:
             raise ValueError(f"corpus_songs must name the splits {list(SPLITS)}, "
                              f"got {sorted(self.corpus_songs)}")
         for split in SPLITS:
-            if self.corpus_songs[split] < 1:
-                raise ValueError(f"corpus_songs.{split} must be >= 1, got {self.corpus_songs[split]!r}")
+            if not 1 <= (n := self.corpus_songs[split]) <= SONG_SLOTS:
+                want = ">= 1" if n < 1 else f"<= {SONG_SLOTS}, the song seeds a split has per language"
+                raise ValueError(f"corpus_songs.{split} must be {want}, got {n!r}")
             _check_corpus_feeds_model(_split_gen(self, split), self.model, split)
         if (n := self.decode.max_tokens) - 1 > self.model.max_token_len:  # last token not fed back
             raise ValueError(f"decode.max_tokens {n} feeds the decoder {n - 1} positions, "
@@ -229,7 +231,7 @@ def _load_base(out: Path) -> TranscriberModel:
 
 
 def _split_seed_base(spec: ExperimentSpec, split: str) -> int:
-    return SPLITS.index(split) * 10_000 * len(spec.gen.languages)
+    return SPLITS.index(split) * SONG_SLOTS * len(spec.gen.languages)
 
 
 def _split_gen(spec: ExperimentSpec, split: str) -> GenConfig:

@@ -59,13 +59,13 @@ def transcribe_batch(
         return []
     windows = [np.asarray(w, dtype=np.float64) for w in windows]
     feature_dim = model.config.feature_dim
-    for w in windows:
+    for i, w in enumerate(windows):
         if w.ndim != 2:
             raise ValueError(f"expected a (frames, features) window, got shape {w.shape}")
         if w.shape[1] != feature_dim:
-            raise ValueError(
-                f"window has {w.shape[1]} features per frame; the model takes {feature_dim}"
-            )
+            raise ValueError(f"window has {w.shape[1]} features per frame; the model takes {feature_dim}")
+        if not w.shape[0]:
+            raise ValueError(f"window {i} has no frames")
     if cfg.max_tokens - 1 > model.config.max_token_len:  # the last token is not fed back
         raise ValueError(f"max_tokens {cfg.max_tokens} feeds the decoder {cfg.max_tokens - 1} "
                          f"positions, over the model's max_token_len {model.config.max_token_len}")

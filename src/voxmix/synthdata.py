@@ -22,6 +22,7 @@ import numpy as np
 from voxmix.files import atomic_write, parse_json, read_settings, refusing
 
 CORPUS_VERSION = 2  # format version of a corpus file's header
+SONG_SLOTS = 10_000  # the song seeds of one language in a split, and so its most songs
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 PAD_ID = 0
@@ -129,6 +130,19 @@ class GenConfig:
             raise ValueError("frames_per_token must be >= 1")
         if len(set(self.languages)) < len(self.languages):
             raise ValueError(f"languages must be distinct, got {self.languages}")
+        for name in ("word_len", "words_per_line", "lines_per_song"):
+            low, high = getattr(self, name)
+            if not 1 <= low <= high:
+                raise ValueError(f"{name} must be (low, high) with 1 <= low <= high, got {(low, high)}")
+        lo, hi = self.word_len
+        # over 2**(3 * hi) words have hi letters: only a count of more bits than 3 * hi can exceed them
+        if self.words_per_lang < 1 or (self.words_per_lang.bit_length() > 3 * hi and self.words_per_lang
+                                       > sum(len(ALPHABET.strip()) ** n for n in range(lo, hi + 1))):
+            raise ValueError(f"words_per_lang must be >= 1 and at most the distinct words of word_len "
+                             f"{self.word_len}, got {self.words_per_lang}")
+        if (line := self.frames_per_token * self.words_per_line[1] * (hi + 1)) > self.segment_max_frames:
+            raise ValueError(f"segment_max_frames must be >= frames_per_token * words_per_line[1] * "
+                             f"(word_len[1] + 1) = {line}, the longest line, got {self.segment_max_frames}")
 
 
 @dataclass
@@ -263,13 +277,13 @@ def build_corpus(
 ) -> Iterator[PairedSample]:
     """Segments of `songs_per_language` songs per language tag, rendered as they are drawn.
 
-    Song seeds are seed_base + lang_index * 10_000 + i, so splits built from
-    bases at least 10_000 * len(languages) apart never share a sample seed.
+    Song seeds are seed_base + lang_index * SONG_SLOTS + i, so splits of at most
+    SONG_SLOTS songs per language from bases SONG_SLOTS * len(languages) apart share none.
     """
     for lang_idx, lang in enumerate(cfg.languages):
         tables = song_tables(cfg, lang)
         for i in range(songs_per_language):
-            yield from generate_song(seed_base + lang_idx * 10_000 + i, cfg, lang, tables)
+            yield from generate_song(seed_base + lang_idx * SONG_SLOTS + i, cfg, lang, tables)
 
 
 # ---------------------------------------------------------------------------

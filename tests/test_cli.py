@@ -231,6 +231,12 @@ LATE_FAILURES = {
                                    r"pretrain seed 3 is not in the seeds list \[0, 1\]"),
     "language_twice": ({"gen": {"languages": ["toyla", "toybe", "toyla"]}},
                        r"gen: languages must be distinct, got \['toyla', 'toybe', 'toyla'\]"),
+    "no_letters": ({"gen": {"word_len": [0, 0]}},
+                   r"gen: word_len must be \(low, high\) with 1 <= low <= high, got \(0, 0\)"),
+    "line_over_a_segment": ({"gen": {"words_per_line": [1, 3]}},
+                            r"gen: segment_max_frames must be >= .* = 36, the longest line, got 24"),
+    "too_many_songs": ({"corpus_songs": {"test": 10_001}},
+                       "corpus_songs.test must be <= 10000, the song seeds a split has per language, got 10001"),
 }
 
 
@@ -378,6 +384,14 @@ def test_spec_accepts_a_corpus_at_the_model_limits():
     spec = micro_spec("x")
     replace(spec, model=replace(spec.model, max_audio_frames=21, max_token_len=8),
             decode=DecodeConfig(max_tokens=8))
+
+
+def test_spec_takes_as_many_songs_per_split_as_it_has_song_seeds():
+    # a split's songs per language take the seeds seed_base + language * 10_000 + song
+    spec = micro_spec("x")
+    replace(spec, corpus_songs={split: 10_000 for split in spec.corpus_songs})
+    with pytest.raises(ValueError, match=r"^corpus_songs.pretrain must be <= 10000, .*, got 10001$"):
+        replace(spec, corpus_songs={split: 10_001 for split in spec.corpus_songs})
 
 
 def test_spec_refuses_negative_seeds():

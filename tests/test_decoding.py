@@ -103,6 +103,15 @@ def test_transcribe_batch_rejects_wrong_feature_count(trained, cfg):
         transcribe_batch(trained, [np.zeros((5, dim)), np.zeros((5, dim // 2))], cfg)
 
 
+def test_transcribe_batch_refuses_a_window_without_frames_by_its_index(trained, cfg):
+    # alone it would fail in the encoder; beside a real window it would decode padding
+    dim = trained.config.feature_dim
+    with pytest.raises(ValueError, match="^window 0 has no frames$"):
+        transcribe_batch(trained, [np.zeros((0, dim))], cfg)
+    with pytest.raises(ValueError, match="^window 1 has no frames$"):
+        transcribe_batch(trained, [np.ones((5, dim)), np.zeros((0, dim))], cfg)
+
+
 def test_greedy_decode_caps_output_length(cfg):
     model = build_model(ModelConfig(), seed=6)
     model.params["dec.out.b"].values[EOS_ID] = -1000.0  # never emits EOS

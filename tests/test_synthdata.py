@@ -183,6 +183,33 @@ def test_config_validation():
         GenConfig(languages=["toyla", "toyla"])
 
 
+# settings the generator cannot render, each refused by its field before anything renders
+UNRENDERABLE = {
+    "no_letters": ({"word_len": (0, 0)}, r"^word_len must be \(low, high\) with 1 <= low <= high, got \(0, 0\)$"),
+    "word_len_reversed": ({"word_len": (3, 2)}, r"^word_len must be .*, got \(3, 2\)$"),
+    "no_words_per_line": ({"words_per_line": (0, 0)}, r"^words_per_line must be .*, got \(0, 0\)$"),
+    "no_lines": ({"lines_per_song": (0, 0)}, r"^lines_per_song must be .*, got \(0, 0\)$"),
+    "no_words": ({"words_per_lang": 0}, r"^words_per_lang must be >= 1 and at most the distinct words "),
+    "more_words_than_lengths_allow": ({"words_per_lang": 26 + 26**2 + 1, "word_len": (1, 2)},
+                                      r"^words_per_lang must be .* of word_len \(1, 2\), got 703$"),
+    "line_over_a_segment": ({"words_per_line": (1, 3)},
+                            r"^segment_max_frames must be >= frames_per_token \* words_per_line\[1\] \* "
+                            r"\(word_len\[1\] \+ 1\) = 36, the longest line, got 24$"),
+}
+
+
+@pytest.mark.parametrize("fields, message", UNRENDERABLE.values(), ids=UNRENDERABLE)
+def test_config_refuses_a_setting_the_generator_cannot_render(fields, message):
+    with pytest.raises(ValueError, match=message):
+        GenConfig(**fields)
+
+
+def test_config_accepts_settings_at_the_generators_limits():
+    # every word of one or two letters; every one-letter word, in lines of one segment's frames
+    GenConfig(words_per_lang=26 + 26**2, word_len=(1, 2))
+    GenConfig(words_per_lang=26, word_len=(1, 1), words_per_line=(3, 3), frames_per_token=4, segment_max_frames=24)
+
+
 # ---------------------------------------------------------------------------
 # corpus files
 # ---------------------------------------------------------------------------
@@ -277,6 +304,8 @@ LINE_3 = r'\{"language": "toyla", "sample_id": "toyla-0-1", "seed": 0, "segment_
     (_set(0, "gen.languages", ["toyla", "toybe", "toyla"]),
      r": line 1: gen: languages must be distinct, got \['toyla', 'toybe', 'toyla'\]$"),
     (_set(0, "gen.jitter", -1.0), r": line 1: gen: jitter must be >= 0, got -1.0$"),
+    (_set(0, "gen.word_len", [0, 0]), r": line 1: gen: word_len must be \(low, high\) with 1 <= low <= high, "
+                                      r"got \(0, 0\)$"),
     (_set(2, "seed", "x"), r': line 3: stored record \{.*"seed": "x", .*\}, rebuilt ' + LINE_3 + "$"),
     (_set(2, "language", True), r': line 3: stored record \{"language": true, .*\}, rebuilt ' + LINE_3 + "$"),
     (_set(2, "language", "toyce"),
@@ -285,7 +314,7 @@ LINE_3 = r'\{"language": "toyla", "sample_id": "toyla-0-1", "seed": 0, "segment_
     (_set(2, "sample_id", "toyla-0-9"),
      r': line 3: stored record \{.*"sample_id": "toyla-0-9", .*\}, rebuilt ' + LINE_3 + "$"),
 ], ids=["damaged_record", "changed_text", "version_3", "unknown_gen_field", "languages_as_text",
-        "language_twice", "jitter_negative", "seed_as_text", "language_as_bool", "language_unknown",
+        "language_twice", "jitter_negative", "no_letters", "seed_as_text", "language_as_bool", "language_unknown",
         "version_as_bool", "sample_id_changed"])
 def test_load_refuses_a_damaged_corpus_naming_the_file(cfg, tmp_path, damage, message):
     path = tmp_path / "train.jsonl"
