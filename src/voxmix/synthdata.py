@@ -278,7 +278,7 @@ def build_corpus(
     """Segments of `songs_per_language` songs per language tag, rendered as they are drawn.
 
     Song seeds are seed_base + lang_index * SONG_SLOTS + i, so splits of at most
-    SONG_SLOTS songs per language from bases SONG_SLOTS * len(languages) apart share none.
+    SONG_SLOTS songs per language, from bases SONG_SLOTS * len(languages) apart, share no seed.
     """
     for lang_idx, lang in enumerate(cfg.languages):
         tables = song_tables(cfg, lang)

@@ -38,11 +38,10 @@ def corpus():
 
 
 def _nodes_per_step(monkeypatch, corpus, phase):
-    # cns at its defaults, L2 at weight 1.0
     model = build_model(ModelConfig(), seed=0)
     if phase != "pretrain":
         attach_adapters(model, LoraSpec(), seed=1)
-    loss = LossConfig(strategy="voc" if phase == "pretrain" else phase)
+    loss = LossConfig(strategy="voc" if phase == "pretrain" else phase)  # cns: L2 at weight 1.0
     plan = TrainPlan(loss, PhasePlanSpec(peak_lr=1e-3, total_steps=10, batch_size=BATCH, seed=2))
     state = make_train_state(model, plan)
     counts = []

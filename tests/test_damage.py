@@ -15,10 +15,10 @@ time. The spec is damaged by truncation and by each key deleted at every
 depth. Of dropped, duplicated or reordered entries, a corpus's records and
 whole songs are swept here, each refused by the line where a record is
 missing or one too many, as is a header that counts more songs than the file
-holds. A key given
-twice in one object, first with another value, is refused by name in every
-file kind, transcripts included: at every depth of the spec and of both
-checkpoints, in a corpus's header and first record and in a transcript line.
+holds. A key given twice in one object, first with another value, is refused
+by name in every file kind, transcripts included: at every depth of the spec
+and of both checkpoints, in a corpus's header and first record and in a
+transcript line.
 """
 
 import copy
